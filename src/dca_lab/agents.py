@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .signal_model import (
-    CumulativeSignals,
-    SignalMapping,
-    WeightMatrix,
-    accumulate,
-    derive_input_signals,
-    process_signals,
-)
+from .signal_model import CumulativeSignals, OutputSignals, accumulate
 
 
 class Category(Enum):
@@ -90,14 +83,6 @@ class AntigenAgent:
 
 
 @dataclass(frozen=True)
-class PickedMessage:
-    """Sent by an antigen to each selected DC; carries a copy of its attributes."""
-
-    antigen_id: int
-    attributes: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ContextMessage:
     """A single vote: 0 for the semimature verdict, 1 for the mature verdict."""
 
@@ -106,36 +91,37 @@ class ContextMessage:
 
 
 def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> list[int]:
-    """Draw a uniform k-subset of DC ids, in selection order.
+    """Draw a uniform k-subset of ``population_ids``, in selection order.
 
-    Uses a partial Fisher-Yates shuffle: exactly k ``rng.randrange`` calls,
-    so replaying the same generator state reproduces the same picks.
+    A partial Fisher-Yates shuffle that keeps only the swapped slots in a
+    dict, so a draw costs O(k) whatever the population size: exactly k
+    ``rng.randrange`` calls, in the same order and with the same picks as
+    the dense shuffle, and only the k picked entries of
+    ``population_ids`` are read. Replaying the same generator state
+    reproduces the same picks.
     """
     n = len(population_ids)
     if k < 0:
         raise ValueError(f"sample size must be nonnegative, got {k}")
     if k > n:
         raise SampleTooLargeError(f"cannot pick {k} distinct DCs from a population of {n}")
-    pool = list(population_ids)
+    # swapped[p] is the slot now at p, for slots >= i moved by an earlier swap.
+    swapped: dict[int, int] = {}
+    picked = []
     for i in range(k):
         j = i + rng.randrange(n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+        picked.append(swapped.get(j, j))
+        swapped[j] = swapped.pop(i, i)
+    return [population_ids[p] for p in picked]
 
 
-def dc_handle_picked(
-    dc: DCAgent,
-    msg: PickedMessage,
-    mapping: SignalMapping,
-    weights: WeightMatrix,
-) -> DCAgent:
-    """Process one 'picked' message: record the antigen and accumulate signals."""
+def dc_handle_picked(dc: DCAgent, antigen_id: int, out: OutputSignals) -> DCAgent:
+    """Process one pick: record the antigen and add its output signals."""
     if dc.state is not DCState.IMMATURE:
         raise NotImmatureError(
             f"DC {dc.dc_id} received a pick while {dc.state.value}"
         )
-    dc.sampled.append(msg.antigen_id)
-    out = process_signals(derive_input_signals(msg.attributes, mapping), weights)
+    dc.sampled.append(antigen_id)
     dc.cum = accumulate(dc.cum, out)
     return dc
 

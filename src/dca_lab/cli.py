@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,7 +27,6 @@ from pathlib import Path
 from .analysis import ClassificationResult, MCAVHistogram
 from .data_ingest import (
     AttributePolicy,
-    BadBoundsError,
     DatasetError,
     DatasetSummary,
     MissingValuePolicy,
@@ -92,8 +92,42 @@ def config_to_dict(config: SimConfig) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, but a JSON true is not a count.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, what: str) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidConfigError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _array(value, what: str, item) -> tuple:
+    if not isinstance(value, list):
+        raise InvalidConfigError(f"{what} must be an array, got {value!r}")
+    return tuple(item(v, f"{what}[{i}]") for i, v in enumerate(value))
+
+
 def config_from_dict(data: dict) -> SimConfig:
-    """Build a SimConfig from parsed JSON; unknown keys (except _*) are errors."""
+    """Build a SimConfig from parsed JSON; unknown keys (except _*) are errors.
+
+    Values must have their JSON type exactly: integers are never bools or
+    floats, numbers are finite, flags are true or false. Nothing is coerced.
+    """
     if not isinstance(data, dict):
         raise InvalidConfigError("config file must hold a JSON object")
     known = set(config_to_dict(SimConfig()))
@@ -102,22 +136,27 @@ def config_from_dict(data: dict) -> SimConfig:
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+    for key in ("weight_matrix", "signal_mapping", "attribute_policy"):
+        if key in payload and not isinstance(payload[key], dict):
+            raise InvalidConfigError(f"{key} must be an object, got {payload[key]!r}")
+
     defaults = SimConfig()
     kwargs: dict = {}
     try:
         if "weight_matrix" in payload:
             wm = payload["weight_matrix"]
             kwargs["weight_matrix"] = WeightMatrix(
-                pamp=tuple(wm["pamp"]), danger=tuple(wm["danger"]), safe=tuple(wm["safe"])
+                **{row: _array(wm[row], f"weight_matrix.{row}", _real)
+                   for row in ("pamp", "danger", "safe")}
             )
         if "signal_mapping" in payload:
             sm = payload["signal_mapping"]
             kwargs["signal_mapping"] = SignalMapping(
-                pamp_sources=tuple(sm["pamp_sources"]),
-                danger_sources=tuple(sm["danger_sources"]),
-                safe_sources=tuple(sm["safe_sources"]),
-                safe_is_complement=bool(
-                    sm.get("safe_is_complement", defaults.signal_mapping.safe_is_complement)
+                **{name: _array(sm[name], f"signal_mapping.{name}", _integer)
+                   for name in ("pamp_sources", "danger_sources", "safe_sources")},
+                safe_is_complement=_flag(
+                    sm.get("safe_is_complement", defaults.signal_mapping.safe_is_complement),
+                    "signal_mapping.safe_is_complement",
                 ),
             )
         if "attribute_policy" in payload:
@@ -129,18 +168,22 @@ def config_from_dict(data: dict) -> SimConfig:
                         defaults.attribute_policy.missing_value_policy.value,
                     )
                 ),
-                lo=float(ap.get("lo", defaults.attribute_policy.lo)),
-                hi=float(ap.get("hi", defaults.attribute_policy.hi)),
+                lo=_real(ap.get("lo", defaults.attribute_policy.lo), "attribute_policy.lo"),
+                hi=_real(ap.get("hi", defaults.attribute_policy.hi), "attribute_policy.hi"),
             )
         for key in ("population_size", "dcs_per_antigen", "histogram_bins", "seed"):
             if key in payload:
-                kwargs[key] = int(payload[key])
+                kwargs[key] = _integer(payload[key], key)
         if "threshold_range" in payload:
-            lo, hi = payload["threshold_range"]
-            kwargs["threshold_range"] = (float(lo), float(hi))
+            lo, hi = _array(payload["threshold_range"], "threshold_range", _real)
+            kwargs["threshold_range"] = (lo, hi)
         if "anomalous_threshold" in payload:
-            kwargs["anomalous_threshold"] = float(payload["anomalous_threshold"])
-    except (KeyError, TypeError, ValueError, BadBoundsError) as exc:
+            kwargs["anomalous_threshold"] = _real(
+                payload["anomalous_threshold"], "anomalous_threshold"
+            )
+    except InvalidConfigError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"malformed config value: {exc}") from exc
 
     config = dataclasses.replace(defaults, **kwargs)

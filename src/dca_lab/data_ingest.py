@@ -146,9 +146,16 @@ def normalize_attribute(value: float, lo: float, hi: float) -> float:
 
 def _iter_lines(source) -> Iterator[str]:
     if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, (bytes, bytearray)):
-            data = data.decode("utf-8")
+        try:
+            data = source.read()
+            if isinstance(data, (bytes, bytearray)):
+                data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise DatasetError(
+                f"line {lineno}: not UTF-8 text "
+                f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+            ) from None
         yield from data.splitlines()
     else:
         yield from source

@@ -19,6 +19,7 @@ runs, including every rng-dependent field.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ from .agents import (
     ContextOverflowError,
     DCAgent,
     NotImmatureError,
-    PickedMessage,
     antigen_handle_context,
     classify_antigen,
     dc_decide_context,
@@ -52,6 +52,8 @@ from .signal_model import (
     SignalMapping,
     WeightMatrix,
     default_signal_mapping,
+    derive_input_signals,
+    process_signals,
 )
 
 MAX_SEED = 2**64 - 1
@@ -97,9 +99,9 @@ class SimConfig:
                 f"got {self.dcs_per_antigen}"
             )
         t_min, t_max = self.threshold_range
-        if not 0 < t_min <= t_max:
+        if not 0 < t_min <= t_max < math.inf:
             raise InvalidConfigError(
-                f"threshold_range must satisfy 0 < t_min <= t_max, got [{t_min}, {t_max}]"
+                f"threshold_range must satisfy 0 < t_min <= t_max < inf, got [{t_min}, {t_max}]"
             )
         if not 0.0 <= self.anomalous_threshold <= 1.0:
             raise InvalidConfigError(
@@ -214,7 +216,8 @@ def _deliver_contexts(
         except ContextOverflowError as exc:
             raise EngineFaultError(f"tick {world.tick}: {exc}") from exc
         world.contexts_delivered += 1
-        _emit(trace, world.tick, "context", [dc.dc_id, antigen_id], [bit])
+        if trace is not None:
+            trace.emit(world.tick, "context", [dc.dc_id, antigen_id], [bit])
         if len(ag.received) == ag.expected_contexts:
             _finalize_antigen(world, config, ag, trace)
     world.samples_retired += len(dc.sampled)
@@ -251,7 +254,9 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
     picks in pick order with a migration check after each delivery,
     migrating DCs vote immediately and are replaced at the same list
     position, and any antigen reaching k contexts is finalized on the spot.
-    The DC population size is invariant across the tick.
+    The DC population size is invariant across the tick. The picks are
+    list positions drawn without touching the other N - k DCs, so a tick
+    costs O(k) plus the migrations it triggers.
     """
     if world.pending:
         record = world.pending.popleft()
@@ -265,17 +270,20 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
         world.antigens_in_flight[ag.antigen_id] = ag
         _emit(trace, world.tick, "spawn", [ag.antigen_id], [ag.true_label.value])
 
-        picked = sample_dcs([dc.dc_id for dc in world.dcs], k, world.rng)
-        position_of = {dc.dc_id: i for i, dc in enumerate(world.dcs)}
-        msg = PickedMessage(antigen_id=ag.antigen_id, attributes=ag.attributes)
-        for dc_id in picked:
-            position = position_of[dc_id]
+        # The output triple depends only on the record and the config, so
+        # it is computed once and added to each of the k picked DCs.
+        out = process_signals(
+            derive_input_signals(record.attributes, config.signal_mapping),
+            config.weight_matrix,
+        )
+        for position in sample_dcs(range(len(world.dcs)), k, world.rng):
             dc = world.dcs[position]
             try:
-                dc_handle_picked(dc, msg, config.signal_mapping, config.weight_matrix)
+                dc_handle_picked(dc, ag.antigen_id, out)
             except NotImmatureError as exc:
                 raise EngineFaultError(f"tick {world.tick}: {exc}") from exc
-            _emit(trace, world.tick, "pick", [ag.antigen_id, dc_id])
+            if trace is not None:
+                trace.emit(world.tick, "pick", [ag.antigen_id, dc.dc_id])
             if dc_should_migrate(dc):
                 _migrate(world, config, position, trace)
     world.tick += 1

@@ -15,7 +15,6 @@ from dca_lab.agents import (
     DCState,
     EmptyContextsError,
     NotImmatureError,
-    PickedMessage,
     SampleTooLargeError,
     antigen_handle_context,
     classify_antigen,
@@ -29,6 +28,8 @@ from dca_lab.signal_model import (
     DEFAULT_WEIGHT_MATRIX,
     CumulativeSignals,
     default_signal_mapping,
+    derive_input_signals,
+    process_signals,
 )
 
 cum_floats = st.floats(-1e6, 1e6, allow_nan=False)
@@ -36,6 +37,22 @@ cum_floats = st.floats(-1e6, 1e6, allow_nan=False)
 
 def fresh_dc(threshold=1000.0, dc_id=0) -> DCAgent:
     return DCAgent(dc_id=dc_id, migration_threshold=threshold)
+
+
+def outputs_of(attributes):
+    """The (csm, semi, mat) triple the engine hands to each picked DC."""
+    return process_signals(
+        derive_input_signals(attributes, default_signal_mapping()), DEFAULT_WEIGHT_MATRIX
+    )
+
+
+def dense_sample(population_ids, k, rng):
+    """Reference: the partial Fisher-Yates shuffle over a full copy of the pool."""
+    pool = list(population_ids)
+    for i in range(k):
+        j = i + rng.randrange(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
 
 
 def fresh_antigen(k=4, aid=0) -> AntigenAgent:
@@ -73,6 +90,15 @@ class TestSampleDcs:
         assert len(set(picked)) == k
         assert set(picked) <= set(population)
 
+    @given(st.integers(1, 2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.integers(0, 2**64 - 1))
+    def test_matches_dense_shuffle_and_rng_state(self, n_and_k, seed):
+        n, k = n_and_k
+        population = range(1, 3 * n + 1, 3)  # the engine passes a range of positions
+        sparse_rng, dense_rng = random.Random(seed), random.Random(seed)
+        assert sample_dcs(population, k, sparse_rng) == dense_sample(population, k, dense_rng)
+        assert sparse_rng.getstate() == dense_rng.getstate()
+
     def test_uniformity_smoke(self):
         rng = random.Random(1234)
         counts = Counter(sample_dcs(range(10), 1, rng)[0] for _ in range(10_000))
@@ -83,56 +109,39 @@ class TestSampleDcs:
 class TestDcHandlePicked:
     def test_all_max_attributes(self):
         dc = fresh_dc()
-        dc_handle_picked(
-            dc,
-            PickedMessage(7, (1.0,) * 9),
-            default_signal_mapping(),
-            DEFAULT_WEIGHT_MATRIX,
-        )
+        dc_handle_picked(dc, 7, outputs_of((1.0,) * 9))
         assert dc.sampled == [7]
         assert (dc.cum.cum_csm, dc.cum.cum_semi, dc.cum.cum_mat) == (300.0, 0.0, 300.0)
         assert dc.state is DCState.IMMATURE
 
     def test_all_min_attributes(self):
         dc = fresh_dc()
-        dc_handle_picked(
-            dc,
-            PickedMessage(3, (0.0,) * 9),
-            default_signal_mapping(),
-            DEFAULT_WEIGHT_MATRIX,
-        )
+        dc_handle_picked(dc, 3, outputs_of((0.0,) * 9))
         assert (dc.cum.cum_csm, dc.cum.cum_semi, dc.cum.cum_mat) == (200.0, 300.0, -300.0)
 
     def test_matured_dc_rejects_pick(self):
         dc = fresh_dc()
         dc.state = DCState.MATURE
         with pytest.raises(NotImmatureError):
-            dc_handle_picked(
-                dc,
-                PickedMessage(1, (0.5,) * 9),
-                default_signal_mapping(),
-                DEFAULT_WEIGHT_MATRIX,
-            )
+            dc_handle_picked(dc, 1, outputs_of((0.5,) * 9))
+        assert dc.sampled == []
 
     @given(st.lists(st.floats(0, 1), min_size=9, max_size=9), st.integers(0, 10))
     def test_sampled_grows_by_one_and_cum_delta_matches(self, attrs, prior_picks):
-        from dca_lab.signal_model import derive_input_signals, process_signals
-
-        mapping = default_signal_mapping()
         dc = fresh_dc()
         for i in range(prior_picks):
-            dc_handle_picked(dc, PickedMessage(i, (0.3,) * 9), mapping, DEFAULT_WEIGHT_MATRIX)
+            dc_handle_picked(dc, i, outputs_of((0.3,) * 9))
         before = dc.cum
         size_before = len(dc.sampled)
 
-        dc_handle_picked(dc, PickedMessage(99, tuple(attrs)), mapping, DEFAULT_WEIGHT_MATRIX)
+        expected = outputs_of(tuple(attrs))
+        dc_handle_picked(dc, 99, expected)
 
         assert len(dc.sampled) == size_before + 1
         assert dc.sampled[-1] == 99
-        expected = process_signals(derive_input_signals(tuple(attrs), mapping), DEFAULT_WEIGHT_MATRIX)
-        assert abs(dc.cum.cum_csm - (before.cum_csm + expected.csm)) <= 1e-9
-        assert abs(dc.cum.cum_semi - (before.cum_semi + expected.semi)) <= 1e-9
-        assert abs(dc.cum.cum_mat - (before.cum_mat + expected.mat)) <= 1e-9
+        assert dc.cum.cum_csm == before.cum_csm + expected.csm
+        assert dc.cum.cum_semi == before.cum_semi + expected.semi
+        assert dc.cum.cum_mat == before.cum_mat + expected.mat
 
 
 class TestMigrationAndContext:

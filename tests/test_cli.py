@@ -1,9 +1,15 @@
 """CLI surface: config round-trip, output files, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dca_lab
 
 from dca_lab.cli import (
     EXIT_CONFIG,
@@ -164,3 +170,92 @@ class TestRunCommand:
         assert main(["run", "--data", str(data), "--out", str(out), "--trace"]) == EXIT_OK
         leftovers = [p.name for p in out.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, as a user would, and capture stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dca_lab.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "dca_lab.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def assert_one_line_diagnostic(proc, exit_code, *fragments):
+    assert proc.returncode == exit_code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dca-lab: "), proc.stderr
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+VALID_MAPPING = {"pamp_sources": [0], "danger_sources": [1], "safe_sources": [2]}
+
+#: Config values that must be rejected, never coerced (each was once accepted or crashed).
+REJECTED_CONFIGS = {
+    "float_seed": ('{"seed": 1.7}', "seed"),
+    "bool_population_size": ('{"population_size": true}', "population_size"),
+    "float_population_size": ('{"population_size": 1e2}', "population_size"),
+    "bool_dcs_per_antigen": ('{"dcs_per_antigen": false}', "dcs_per_antigen"),
+    "overflowing_histogram_bins": ('{"histogram_bins": 1e400}', "histogram_bins"),
+    "infinite_threshold": ('{"threshold_range": [100, Infinity]}', "threshold_range"),
+    "nan_threshold": ('{"threshold_range": [NaN, 300]}', "threshold_range"),
+    "huge_int_threshold": ('{"threshold_range": [100, %d]}' % 10**400, "threshold_range"),
+    "string_safe_is_complement": (
+        json.dumps({"signal_mapping": dict(VALID_MAPPING, safe_is_complement="false")}),
+        "safe_is_complement",
+    ),
+    "float_source_index": (
+        json.dumps({"signal_mapping": dict(VALID_MAPPING, pamp_sources=[1.5])}),
+        "pamp_sources",
+    ),
+    "bool_source_index": (
+        json.dumps({"signal_mapping": dict(VALID_MAPPING, danger_sources=[True])}),
+        "danger_sources",
+    ),
+    "negative_source_index": (
+        json.dumps({"signal_mapping": dict(VALID_MAPPING, safe_sources=[-1])}),
+        "negative index",
+    ),
+    "bool_weight": (
+        json.dumps({"weight_matrix": {"pamp": [True, 0, 2], "danger": [1, 0, 1],
+                                      "safe": [2, 3, -3]}}),
+        "weight_matrix.pamp",
+    ),
+    "string_anomalous_threshold": ('{"anomalous_threshold": "0.5"}', "anomalous_threshold"),
+    "policy_not_an_object": ('{"attribute_policy": [1]}', "attribute_policy"),
+}
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("case", sorted(REJECTED_CONFIGS))
+    def test_config_value_rejected_with_exit_4(self, tmp_path, case):
+        text, fragment = REJECTED_CONFIGS[case]
+        data = write_dataset(tmp_path / "d.data")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        proc = run_cli_process("run", "--data", str(data), "--config", str(config_path),
+                               "--out", str(tmp_path / "out"))
+        assert_one_line_diagnostic(proc, EXIT_CONFIG, "invalid config", fragment)
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_non_utf8_dataset_exits_3(self, tmp_path):
+        data = tmp_path / "latin1.data"
+        data.write_bytes(b"1000,1,1,1,1,1,1,1,1,1,2\n1001,1,\xff,1,1,1,1,1,1,1,2\n")
+        proc = run_cli_process("run", "--data", str(data), "--out", str(tmp_path / "out"))
+        assert_one_line_diagnostic(proc, EXIT_DATA, str(data), "line 2", "UTF-8", "0xff")
+
+    def test_exact_values_still_accepted(self, tmp_path):
+        data = write_dataset(tmp_path / "d.data")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "seed": 3, "population_size": 20, "threshold_range": [50, 150.5],
+            "signal_mapping": dict(VALID_MAPPING, safe_is_complement=False),
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data), "--config", str(config_path),
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["threshold_range"] == [50.0, 150.5]
+        assert report["config"]["signal_mapping"]["safe_is_complement"] is False

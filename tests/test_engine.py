@@ -2,10 +2,12 @@
 
 import csv
 import io
+import math
 import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_records, oracle_kwargs, random_sim_setup, write_wbc_like_file
 from oracle import run_reference_dca
@@ -63,6 +65,8 @@ class TestSimConfig:
             SimConfig(threshold_range=(0.0, 10.0)).validate()
         with pytest.raises(InvalidConfigError):
             SimConfig(threshold_range=(10.0, 5.0)).validate()
+        with pytest.raises(InvalidConfigError):
+            SimConfig(threshold_range=(100.0, math.inf)).validate()
 
     def test_anomalous_threshold_bounds(self):
         with pytest.raises(InvalidConfigError):
@@ -347,6 +351,52 @@ class TestRandomizedOracleParity:
                 [(r.antigen_id, r.attributes) for r in records], **oracle_kwargs(config)
             )
             assert {r.antigen_id: r.mcav for r in report.results} == expected
+
+
+def oracle_mcavs(config, records):
+    return run_reference_dca(
+        [(r.antigen_id, r.attributes) for r in records], **oracle_kwargs(config)
+    )
+
+
+class TestOracleParityCorners:
+    """Bit-exact engine/oracle agreement where the subset draw degenerates or is sparse."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**64 - 1))
+    def test_every_dc_picked(self, population, n_records, seed):
+        records = make_records(random.Random(seed), n_records, 3)
+        config = small_config(
+            population_size=population,
+            dcs_per_antigen=population,
+            signal_mapping=SignalMapping((0,), (1, 2), (0, 2)),
+            seed=seed,
+        )
+        report = run(config, records)
+        assert {r.antigen_id: r.mcav for r in report.results} == oracle_mcavs(config, records)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 30), st.floats(1.0, 400.0), st.integers(0, 2**64 - 1))
+    def test_single_dc(self, n_records, t_min, seed):
+        records = make_records(random.Random(seed), n_records, 2)
+        config = small_config(
+            population_size=1,
+            dcs_per_antigen=1,
+            threshold_range=(t_min, 2 * t_min),
+            seed=seed,
+        )
+        report = run(config, records)
+        assert {r.antigen_id: r.mcav for r in report.results} == oracle_mcavs(config, records)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_large_population_small_k(self, seed):
+        records = make_records(random.Random(seed), 60, 9)
+        config = SimConfig(population_size=5000, dcs_per_antigen=10,
+                           threshold_range=(250.0, 450.0), seed=seed)
+        world = run_world(config, records)
+        assert {r.antigen_id: r.mcav for r in world.results} == oracle_mcavs(config, records)
+        assert world.next_dc_id > 5000  # some DCs migrated mid-run
 
 
 class TestDeskScaleShape:
