@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .signal_model import CumulativeSignals, OutputSignals, accumulate
+from .signal_model import CumulativeSignals, OutputSignals
 
 
 class Category(Enum):
@@ -49,23 +49,36 @@ class EmptyContextsError(ValueError):
     """MCAV requested for an empty context list."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DCAgent:
     """A data processor: accumulates signals over picks until it migrates.
 
-    The migration threshold is drawn once at creation and never mutated.
+    The cumulative csm, semi and mat sums are plain floats that each pick
+    adds to in place; ``cum`` views them as one ``CumulativeSignals``.
     ``sampled`` records the antigen ids of every handled pick, in order,
-    duplicates allowed; each occurrence earns its own context message.
+    duplicates allowed; each occurrence earns its own context bit. The
+    engine reuses a migrated DC's slot for its replacement, with a fresh
+    id, threshold, zeroed sums and an empty ``sampled`` list.
     """
 
     dc_id: int
     migration_threshold: float
     state: DCState = DCState.IMMATURE
-    cum: CumulativeSignals = field(default_factory=CumulativeSignals)
+    cum_csm: float = 0.0
+    cum_semi: float = 0.0
+    cum_mat: float = 0.0
     sampled: list[int] = field(default_factory=list)
 
+    @property
+    def cum(self) -> CumulativeSignals:
+        return CumulativeSignals(self.cum_csm, self.cum_semi, self.cum_mat)
 
-@dataclass
+    @cum.setter
+    def cum(self, value: CumulativeSignals) -> None:
+        self.cum_csm, self.cum_semi, self.cum_mat = value.cum_csm, value.cum_semi, value.cum_mat
+
+
+@dataclass(slots=True)
 class AntigenAgent:
     """A data carrier: one record, awaiting one context bit per DC pick.
 
@@ -80,14 +93,6 @@ class AntigenAgent:
     received: list[int] = field(default_factory=list)
     mcav: float | None = None
     predicted: Category | None = None
-
-
-@dataclass(frozen=True)
-class ContextMessage:
-    """A single vote: 0 for the semimature verdict, 1 for the mature verdict."""
-
-    dc_id: int
-    context: int
 
 
 def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> list[int]:
@@ -116,19 +121,25 @@ def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> lis
 
 
 def dc_handle_picked(dc: DCAgent, antigen_id: int, out: OutputSignals) -> DCAgent:
-    """Process one pick: record the antigen and add its output signals."""
+    """Process one pick: record the antigen and add its output signals in place.
+
+    The three additions are the ones ``signal_model.accumulate`` makes, in
+    the same order, so the sums are bit-identical to folding with it.
+    """
     if dc.state is not DCState.IMMATURE:
         raise NotImmatureError(
             f"DC {dc.dc_id} received a pick while {dc.state.value}"
         )
     dc.sampled.append(antigen_id)
-    dc.cum = accumulate(dc.cum, out)
+    dc.cum_csm += out.csm
+    dc.cum_semi += out.semi
+    dc.cum_mat += out.mat
     return dc
 
 
 def dc_should_migrate(dc: DCAgent) -> bool:
     """True iff cumulative csm strictly exceeds the migration threshold."""
-    return dc.cum.cum_csm > dc.migration_threshold
+    return dc.cum_csm > dc.migration_threshold
 
 
 def dc_decide_context(dc: DCAgent) -> tuple[DCState, int]:
@@ -137,21 +148,22 @@ def dc_decide_context(dc: DCAgent) -> tuple[DCState, int]:
     Semimature (context 0) iff cum_semi > cum_mat; ties go to Mature
     (context 1). Does not mutate the DC; the engine applies the state.
     """
-    if dc.cum.cum_semi > dc.cum.cum_mat:
+    if dc.cum_semi > dc.cum_mat:
         return DCState.SEMIMATURE, 0
     return DCState.MATURE, 1
 
 
-def antigen_handle_context(ag: AntigenAgent, msg: ContextMessage) -> AntigenAgent:
+def antigen_handle_context(ag: AntigenAgent, bit: int) -> AntigenAgent:
     """Append one context bit; compute the MCAV once the last bit arrives."""
-    if len(ag.received) >= ag.expected_contexts:
+    received = ag.received
+    if len(received) >= ag.expected_contexts:
         raise ContextOverflowError(
-            f"antigen {ag.antigen_id} already holds {len(ag.received)} of "
+            f"antigen {ag.antigen_id} already holds {len(received)} of "
             f"{ag.expected_contexts} contexts"
         )
-    ag.received.append(msg.context)
-    if len(ag.received) == ag.expected_contexts:
-        ag.mcav = compute_mcav(ag.received)
+    received.append(bit)
+    if len(received) == ag.expected_contexts:
+        ag.mcav = compute_mcav(received)
     return ag
 
 

@@ -7,6 +7,17 @@ and completed antigens are finalized the moment their last context lands.
 When the record stream is exhausted, a flush forces every sample-holding
 DC to vote on its current cumulative values so no antigen is left behind.
 
+Picks, votes and migrations build no message or agent objects: a pick
+adds the antigen's three output signals to the DC's float sums in place,
+a vote hands the antigen a plain int bit, and a migrated DC object is
+reset in place as its replacement, with a fresh id and threshold (only
+its ``sampled`` list is new). Trace rows are built only when a trace is
+being written. ``run`` calls
+``step``, ``_migrate`` and ``flush``, and the engine calls the agent and
+signal functions, through their module-level names, once per tick,
+migration, pick, bit or antigen; ``benchmarks/layers.py`` times the run
+by wrapping those names.
+
 Randomness comes from a single ``random.Random`` (Mersenne Twister)
 stream seeded from the config, with a fixed draw order: the N initial
 migration thresholds in DC-index order at world creation, then per tick
@@ -27,7 +38,6 @@ from typing import IO, Sequence
 
 from .agents import (
     AntigenAgent,
-    ContextMessage,
     ContextOverflowError,
     DCAgent,
     NotImmatureError,
@@ -157,11 +167,6 @@ class TraceLog:
         )
 
 
-def _emit(trace: TraceLog | None, tick: int, kind: str, ids, values=()) -> None:
-    if trace is not None:
-        trace.emit(tick, kind, ids, values)
-
-
 def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
     """Create N immature DCs (thresholds drawn in DC-index order) at tick 0."""
     config.validate()
@@ -197,28 +202,30 @@ def _finalize_antigen(
         )
     )
     del world.antigens_in_flight[ag.antigen_id]
-    _emit(trace, world.tick, "finalize", [ag.antigen_id], [ag.mcav, ag.predicted.value])
+    if trace is not None:
+        trace.emit(world.tick, "finalize", [ag.antigen_id], [ag.mcav, ag.predicted.value])
 
 
 def _deliver_contexts(
     world: World, config: SimConfig, dc: DCAgent, bit: int, trace: TraceLog | None
 ) -> None:
     """Send the DC's context bit to every sampled antigen, in order, with multiplicity."""
+    in_flight = world.antigens_in_flight
     for antigen_id in dc.sampled:
-        ag = world.antigens_in_flight.get(antigen_id)
+        ag = in_flight.get(antigen_id)
         if ag is None:
             raise EngineFaultError(
                 f"tick {world.tick}: DC {dc.dc_id} voted for antigen {antigen_id} "
                 "which is not in flight"
             )
         try:
-            antigen_handle_context(ag, ContextMessage(dc.dc_id, bit))
+            antigen_handle_context(ag, bit)
         except ContextOverflowError as exc:
             raise EngineFaultError(f"tick {world.tick}: {exc}") from exc
         world.contexts_delivered += 1
         if trace is not None:
             trace.emit(world.tick, "context", [dc.dc_id, antigen_id], [bit])
-        if len(ag.received) == ag.expected_contexts:
+        if ag.mcav is not None:  # that was its last bit
             _finalize_antigen(world, config, ag, trace)
     world.samples_retired += len(dc.sampled)
 
@@ -226,25 +233,28 @@ def _deliver_contexts(
 def _migrate(
     world: World, config: SimConfig, position: int, trace: TraceLog | None
 ) -> None:
-    """Decide, vote, then replace the DC in place with a fresh immature one.
+    """Decide and vote, then reset the DC in place as its immature replacement.
 
-    The replacement threshold is drawn after the votes, keeping the rng
-    draw order spawn-picks-then-replacements within each tick.
+    The replacement gets the next DC id, a fresh threshold, zeroed sums
+    and an empty ``sampled`` list; its state stays immature, because the
+    decided state lives only as long as the vote. The threshold is drawn
+    after the votes, keeping the rng draw order spawn-picks-then-
+    replacements within each tick.
     """
     dc = world.dcs[position]
     state, bit = dc_decide_context(dc)
-    dc.state = state
-    _emit(trace, world.tick, "migrate", [dc.dc_id], [state.value, bit])
+    if trace is not None:
+        trace.emit(world.tick, "migrate", [dc.dc_id], [state.value, bit])
     _deliver_contexts(world, config, dc, bit, trace)
+    old_id = dc.dc_id
     t_min, t_max = config.threshold_range
-    replacement = DCAgent(
-        dc_id=world.next_dc_id,
-        migration_threshold=world.rng.uniform(t_min, t_max),
-    )
+    dc.dc_id = world.next_dc_id
+    dc.migration_threshold = world.rng.uniform(t_min, t_max)
+    dc.cum_csm = dc.cum_semi = dc.cum_mat = 0.0
+    dc.sampled = []
     world.next_dc_id += 1
-    world.dcs[position] = replacement
-    _emit(trace, world.tick, "replace", [dc.dc_id, replacement.dc_id],
-          [replacement.migration_threshold])
+    if trace is not None:
+        trace.emit(world.tick, "replace", [old_id, dc.dc_id], [dc.migration_threshold])
 
 
 def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> World:
@@ -268,7 +278,8 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
             expected_contexts=k,
         )
         world.antigens_in_flight[ag.antigen_id] = ag
-        _emit(trace, world.tick, "spawn", [ag.antigen_id], [ag.true_label.value])
+        if trace is not None:
+            trace.emit(world.tick, "spawn", [ag.antigen_id], [ag.true_label.value])
 
         # The output triple depends only on the record and the config, so
         # it is computed once and added to each of the k picked DCs.
@@ -276,8 +287,9 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
             derive_input_signals(record.attributes, config.signal_mapping),
             config.weight_matrix,
         )
-        for position in sample_dcs(range(len(world.dcs)), k, world.rng):
-            dc = world.dcs[position]
+        dcs = world.dcs
+        for position in sample_dcs(range(len(dcs)), k, world.rng):
+            dc = dcs[position]
             try:
                 dc_handle_picked(dc, ag.antigen_id, out)
             except NotImmatureError as exc:
@@ -302,10 +314,11 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
         if dc.sampled:
             state, bit = dc_decide_context(dc)
             dc.state = state
-            _emit(trace, world.tick, "flush_migrate", [dc.dc_id], [state.value, bit])
+            if trace is not None:
+                trace.emit(world.tick, "flush_migrate", [dc.dc_id], [state.value, bit])
             _deliver_contexts(world, config, dc, bit, trace)
-        else:
-            _emit(trace, world.tick, "discard", [dc.dc_id])
+        elif trace is not None:
+            trace.emit(world.tick, "discard", [dc.dc_id])
     world.dcs.clear()
     if world.antigens_in_flight:
         raise UnflushableError(

@@ -77,6 +77,10 @@ class SignalMapping:
             if not sources:
                 raise EmptySourceListError(f"{name} must list at least one attribute index")
             for idx in sources:
+                if not isinstance(idx, int) or isinstance(idx, bool):
+                    raise TypeError(
+                        f"{name} must hold integer attribute indices, got {idx!r}"
+                    )
                 if idx < 0:
                     raise IndexOutOfBoundsError(f"{name} contains negative index {idx}")
 

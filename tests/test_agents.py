@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from dca_lab.agents import (
     AntigenAgent,
     Category,
-    ContextMessage,
     ContextOverflowError,
     DCAgent,
     DCState,
@@ -192,28 +191,30 @@ class TestAntigenHandleContext:
     def test_completion_sets_mcav(self):
         ag = fresh_antigen(k=4)
         for bit in (1, 0, 1):
-            antigen_handle_context(ag, ContextMessage(0, bit))
+            antigen_handle_context(ag, bit)
         assert ag.mcav is None
-        antigen_handle_context(ag, ContextMessage(1, 1))
+        antigen_handle_context(ag, 1)
         assert ag.mcav == 0.75
 
     def test_incomplete_leaves_mcav_undefined(self):
         ag = fresh_antigen(k=2)
-        antigen_handle_context(ag, ContextMessage(5, 0))
+        antigen_handle_context(ag, 0)
         assert ag.received == [0]
         assert ag.mcav is None
 
     def test_overflow(self):
         ag = fresh_antigen(k=1)
-        antigen_handle_context(ag, ContextMessage(0, 0))
+        antigen_handle_context(ag, 0)
         with pytest.raises(ContextOverflowError):
-            antigen_handle_context(ag, ContextMessage(1, 1))
+            antigen_handle_context(ag, 1)
+        assert ag.received == [0]
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=50))
     def test_mcav_equals_fraction_of_one_votes(self, bits):
         ag = fresh_antigen(k=len(bits))
-        for i, bit in enumerate(bits):
-            antigen_handle_context(ag, ContextMessage(i, bit))
+        for bit in bits:
+            antigen_handle_context(ag, bit)
+        assert ag.received == bits
         assert ag.mcav == sum(bits) / len(bits)
 
 

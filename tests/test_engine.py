@@ -162,6 +162,7 @@ class TestStep:
             AntigenRecord(0, 0, (1.0,), Category.ANOMALOUS),
         ]
         world = init_world(config, records)
+        objects = list(world.dcs)
         ids_before = [dc.dc_id for dc in world.dcs]
         step(world, config)
         ids_after = [dc.dc_id for dc in world.dcs]
@@ -170,6 +171,11 @@ class TestStep:
         assert len(replaced) == 2
         assert all(new >= 4 for new in replaced)
         assert all(dc.state is DCState.IMMATURE for dc in world.dcs)
+        # Each migrated DC object is reset in place as its replacement.
+        assert all(now is before for now, before in zip(world.dcs, objects))
+        for dc in world.dcs:
+            if dc.dc_id >= 4:
+                assert (dc.cum, dc.sampled) == (CumulativeSignals(), [])
 
 
 class TestFlush:

@@ -59,6 +59,12 @@ class TestDeriveInputSignals:
         with pytest.raises(IndexOutOfBoundsError):
             SignalMapping((0,), (-1,), (0,))
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "0", None])
+    def test_non_integer_index_rejected(self, bad):
+        for sources in [((bad,), (0,), (0,)), ((0,), (bad,), (0,)), ((0,), (0,), (0, bad))]:
+            with pytest.raises(TypeError, match="integer attribute indices"):
+                SignalMapping(*sources)
+
     @given(st.lists(attr_floats, min_size=1, max_size=9), st.booleans())
     def test_output_in_range(self, attrs, complement):
         mapping = SignalMapping(
