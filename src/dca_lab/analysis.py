@@ -9,6 +9,7 @@ None, never silently coerced to 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .agents import Category
@@ -63,17 +64,19 @@ class Metrics:
 def build_histogram(mcavs, bins: int = 10) -> MCAVHistogram:
     """Bin MCAVs into ``bins`` equal-width bins over [0, 1].
 
-    A value v falls in bin floor(v * bins), except v = 1.0 which falls in
-    the last bin.
+    A value v falls in the bin i with edges[i] <= v < edges[i + 1], where
+    edges[i] = i / bins as a float, and v = 1.0 falls in the last bin, so
+    a value always lands between the bounds ``histogram.csv`` prints for
+    its bin. (``int(v * bins)`` does not: 7/10 * 90 rounds to 62.99...)
     """
     if bins < 1:
         raise ValueError(f"bin count must be >= 1, got {bins}")
+    edges = tuple(i / bins for i in range(bins + 1))
     counts = [0] * bins
     for v in mcavs:
         if not 0.0 <= v <= 1.0:
             raise ValueOutOfRangeError(f"MCAV {v} outside [0, 1]")
-        counts[min(int(v * bins), bins - 1)] += 1
-    edges = tuple(i / bins for i in range(bins + 1))
+        counts[min(bisect_right(edges, v) - 1, bins - 1)] += 1
     return MCAVHistogram(bin_count=bins, edges=edges, counts=tuple(counts))
 
 

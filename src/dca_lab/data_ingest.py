@@ -145,6 +145,7 @@ def normalize_attribute(value: float, lo: float, hi: float) -> float:
 
 
 def _iter_lines(source) -> Iterator[str]:
+    """The source's lines, without one leading byte order mark (U+FEFF)."""
     if hasattr(source, "read"):
         try:
             data = source.read()
@@ -156,9 +157,13 @@ def _iter_lines(source) -> Iterator[str]:
                 f"line {lineno}: not UTF-8 text "
                 f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
             ) from None
-        yield from data.splitlines()
+        lines = iter(data.splitlines())
     else:
-        yield from source
+        lines = iter(source)
+    first = next(lines, None)
+    if first is not None:
+        yield first.removeprefix("\ufeff")
+        yield from lines
 
 
 def _column_medians(rows: list[RawRecord]) -> list[int]:

@@ -12,7 +12,9 @@ adds the antigen's three output signals to the DC's float sums in place,
 a vote hands the antigen a plain int bit, and a migrated DC object is
 reset in place as its replacement, with a fresh id and threshold (only
 its ``sampled`` list is new). Trace rows are built only when a trace is
-being written. ``run`` calls
+being written: each is one f-string in ``trace.csv``'s exact format,
+handed to ``TraceLog.emit``, which writes it straight to the stream.
+``run`` calls
 ``step``, ``_migrate`` and ``flush``, and the engine calls the agent and
 signal functions, through their module-level names, once per tick,
 migration, pick, bit or antigen; ``benchmarks/layers.py`` times the run
@@ -29,7 +31,6 @@ runs, including every rng-dependent field.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from collections import deque
@@ -38,6 +39,7 @@ from typing import IO, Sequence
 
 from .agents import (
     AntigenAgent,
+    Category,
     ContextOverflowError,
     DCAgent,
     NotImmatureError,
@@ -154,17 +156,27 @@ class RunReport:
     seed: int
 
 
+#: The values field of a migrate or flush_migrate row, by context bit:
+#: ``dc_decide_context`` pairs bit 0 with semimature and bit 1 with mature.
+_VOTE = ("semimature;0", "mature;1")
+
+
 class TraceLog:
-    """Optional CSV event trace: one ``tick,event_kind,ids,values`` row per event."""
+    """Optional CSV event trace: one ``tick,event_kind,ids,values`` row per event.
+
+    The engine formats each row itself, as ``csv.writer`` would write it:
+    ids and values joined by ``;``, floats as ``repr``, an empty values
+    field after a trailing comma, and a ``\r\n`` line end. No field ever
+    needs quoting. Open the stream with ``newline=""``.
+    """
 
     def __init__(self, stream: IO[str]):
-        self._writer = csv.writer(stream)
-        self._writer.writerow(["tick", "event_kind", "ids", "values"])
+        self._stream = stream
+        stream.write("tick,event_kind,ids,values\r\n")
 
-    def emit(self, tick: int, kind: str, ids, values=()) -> None:
-        self._writer.writerow(
-            [tick, kind, ";".join(str(i) for i in ids), ";".join(str(v) for v in values)]
-        )
+    def emit(self, row: str) -> None:
+        """Write one preformatted row, line end included."""
+        self._stream.write(row)
 
 
 def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
@@ -203,7 +215,8 @@ def _finalize_antigen(
     )
     del world.antigens_in_flight[ag.antigen_id]
     if trace is not None:
-        trace.emit(world.tick, "finalize", [ag.antigen_id], [ag.mcav, ag.predicted.value])
+        predicted = "anomalous" if ag.predicted is Category.ANOMALOUS else "normal"
+        trace.emit(f"{world.tick},finalize,{ag.antigen_id},{ag.mcav!r};{predicted}\r\n")
 
 
 def _deliver_contexts(
@@ -224,7 +237,7 @@ def _deliver_contexts(
             raise EngineFaultError(f"tick {world.tick}: {exc}") from exc
         world.contexts_delivered += 1
         if trace is not None:
-            trace.emit(world.tick, "context", [dc.dc_id, antigen_id], [bit])
+            trace.emit(f"{world.tick},context,{dc.dc_id};{antigen_id},{bit}\r\n")
         if ag.mcav is not None:  # that was its last bit
             _finalize_antigen(world, config, ag, trace)
     world.samples_retired += len(dc.sampled)
@@ -242,9 +255,9 @@ def _migrate(
     replacements within each tick.
     """
     dc = world.dcs[position]
-    state, bit = dc_decide_context(dc)
+    _, bit = dc_decide_context(dc)
     if trace is not None:
-        trace.emit(world.tick, "migrate", [dc.dc_id], [state.value, bit])
+        trace.emit(f"{world.tick},migrate,{dc.dc_id},{_VOTE[bit]}\r\n")
     _deliver_contexts(world, config, dc, bit, trace)
     old_id = dc.dc_id
     t_min, t_max = config.threshold_range
@@ -254,7 +267,7 @@ def _migrate(
     dc.sampled = []
     world.next_dc_id += 1
     if trace is not None:
-        trace.emit(world.tick, "replace", [old_id, dc.dc_id], [dc.migration_threshold])
+        trace.emit(f"{world.tick},replace,{old_id};{dc.dc_id},{dc.migration_threshold!r}\r\n")
 
 
 def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> World:
@@ -279,7 +292,8 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
         )
         world.antigens_in_flight[ag.antigen_id] = ag
         if trace is not None:
-            trace.emit(world.tick, "spawn", [ag.antigen_id], [ag.true_label.value])
+            label = "anomalous" if ag.true_label is Category.ANOMALOUS else "normal"
+            trace.emit(f"{world.tick},spawn,{ag.antigen_id},{label}\r\n")
 
         # The output triple depends only on the record and the config, so
         # it is computed once and added to each of the k picked DCs.
@@ -295,7 +309,7 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
             except NotImmatureError as exc:
                 raise EngineFaultError(f"tick {world.tick}: {exc}") from exc
             if trace is not None:
-                trace.emit(world.tick, "pick", [ag.antigen_id, dc.dc_id])
+                trace.emit(f"{world.tick},pick,{ag.antigen_id};{dc.dc_id},\r\n")
             if dc_should_migrate(dc):
                 _migrate(world, config, position, trace)
     world.tick += 1
@@ -315,10 +329,10 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
             state, bit = dc_decide_context(dc)
             dc.state = state
             if trace is not None:
-                trace.emit(world.tick, "flush_migrate", [dc.dc_id], [state.value, bit])
+                trace.emit(f"{world.tick},flush_migrate,{dc.dc_id},{_VOTE[bit]}\r\n")
             _deliver_contexts(world, config, dc, bit, trace)
         elif trace is not None:
-            trace.emit(world.tick, "discard", [dc.dc_id])
+            trace.emit(f"{world.tick},discard,{dc.dc_id},\r\n")
     world.dcs.clear()
     if world.antigens_in_flight:
         raise UnflushableError(

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dca_lab.agents import Category
 from dca_lab.analysis import (
@@ -52,6 +52,21 @@ class TestBuildHistogram:
     def test_bad_bin_count(self):
         with pytest.raises(ValueError):
             build_histogram([0.5], 0)
+
+    @given(k=st.integers(1, 100), bins=st.integers(1, 200))
+    @example(k=10, bins=90)
+    def test_every_mcav_lands_between_its_bin_edges(self, k, bins):
+        # An MCAV is j/k. Binning by int(v * bins) rounds some j/k across an
+        # edge for 279 of these 20000 (k, bins) pairs: 7/10 * 90 gives
+        # 62.99999999999999, yet edges[63] == 0.7.
+        mcavs = [j / k for j in range(k + 1)]
+        hist = build_histogram(mcavs, bins)
+        lo, hi = hist.edges[:-1], hist.edges[1:]
+        expected = [
+            sum(lo[i] <= v < hi[i] or (i == bins - 1 and v == 1.0) for v in mcavs)
+            for i in range(bins)
+        ]
+        assert list(hist.counts) == expected
 
     @given(st.lists(st.floats(0, 1), max_size=300), st.integers(1, 40))
     def test_conservation(self, mcavs, bins):

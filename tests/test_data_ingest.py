@@ -176,6 +176,24 @@ class TestLoadDataset:
         assert summary.rows_read == 2
         assert len(records) == 2
 
+    def test_leading_byte_order_mark_is_dropped(self):
+        payload = FIRST_UCI_ROW + "\n" + MISSING_UCI_ROW + "\n"
+        plain, _ = load_dataset(io.BytesIO(payload.encode("utf-8")))
+        for source in (
+            io.BytesIO(payload.encode("utf-8-sig")),
+            io.StringIO("\ufeff" + payload),
+            ["\ufeff" + FIRST_UCI_ROW, MISSING_UCI_ROW],
+        ):
+            records, summary = load_dataset(source)
+            assert records == plain
+            assert summary.rows_read == 2
+
+    def test_only_one_leading_byte_order_mark_is_dropped(self):
+        with pytest.raises(NonNumericFieldError, match=r"line 1: sample id '\\ufeff1000025'"):
+            load_dataset(io.BytesIO(("\ufeff\ufeff" + FIRST_UCI_ROW).encode("utf-8")))
+        with pytest.raises(NonNumericFieldError, match=r"line 2: sample id '\\ufeff1000025'"):
+            load_dataset(io.StringIO(MISSING_UCI_ROW + "\n\ufeff" + FIRST_UCI_ROW))
+
     def test_accepts_text_iterable(self):
         records, _ = load_dataset(["7,3,3,3,3,3,3,3,3,3,4"])
         assert records[0].source_sample_id == 7
