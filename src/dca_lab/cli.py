@@ -22,26 +22,22 @@ import math
 import os
 import sys
 import tempfile
+from enum import Enum
 from pathlib import Path
 
 from .analysis import ClassificationResult, MCAVHistogram
-from .data_ingest import (
-    AttributePolicy,
-    DatasetError,
-    DatasetSummary,
-    MissingValuePolicy,
-    load_dataset,
-)
+from .data_ingest import DatasetError, DatasetSummary, load_dataset
 from .engine import (
+    CONFIG_FIELDS,
     MAX_SEED,
     EngineFaultError,
+    Field,
     InvalidConfigError,
     RunReport,
     SimConfig,
     TraceLog,
     run,
 )
-from .signal_model import SignalMapping, WeightMatrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,153 +48,91 @@ EXIT_IO = 6
 
 OUT_DIR_ENV_VAR = "DCA_LAB_OUT"
 
-CONFIG_NOTES = {
-    "population_size": "number of DC agents alive at any instant (constant)",
-    "dcs_per_antigen": "distinct DCs each antigen is presented to (its vote count)",
-    "threshold_range": "[t_min, t_max] for the per-DC migration threshold, drawn uniformly",
-    "weight_matrix": "per input signal: weights onto (csm, semi, mat); shipped values are a documented default, not a fitted result; the csm column must be nonnegative",
-    "signal_mapping": "attribute indices feeding each input signal; safe_is_complement inverts the safe source mean",
-    "anomalous_threshold": "MCAV cutoff; an antigen is anomalous iff its MCAV strictly exceeds it",
-    "histogram_bins": "equal-width MCAV histogram bins over [0, 1]",
-    "attribute_policy": "missing_value_policy is skip_record or impute_median; lo/hi are the fixed min-max normalization bounds",
-    "seed": "64-bit unsigned rng seed; identical seed + inputs reproduce a run exactly",
-}
+_KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false"}
 
 
-def config_to_dict(config: SimConfig) -> dict:
-    return {
-        "population_size": config.population_size,
-        "dcs_per_antigen": config.dcs_per_antigen,
-        "threshold_range": list(config.threshold_range),
-        "weight_matrix": {
-            "pamp": list(config.weight_matrix.pamp),
-            "danger": list(config.weight_matrix.danger),
-            "safe": list(config.weight_matrix.safe),
-        },
-        "signal_mapping": {
-            "pamp_sources": list(config.signal_mapping.pamp_sources),
-            "danger_sources": list(config.signal_mapping.danger_sources),
-            "safe_sources": list(config.signal_mapping.safe_sources),
-            "safe_is_complement": config.signal_mapping.safe_is_complement,
-        },
-        "anomalous_threshold": config.anomalous_threshold,
-        "histogram_bins": config.histogram_bins,
-        "attribute_policy": {
-            "missing_value_policy": config.attribute_policy.missing_value_policy.value,
-            "lo": config.attribute_policy.lo,
-            "hi": config.attribute_policy.hi,
-        },
-        "seed": config.seed,
-    }
+def _expected(f: Field) -> str:
+    if f.fields is not None:
+        return "an object"
+    one = _KIND_TEXT.get(f.kind) or "one of " + ", ".join(repr(m.value) for m in f.kind)
+    if f.length is None:
+        return one
+    count = "" if f.length is ... else f"{f.length} "
+    return f"an array of {count}values, each {one}"
 
 
-def _integer(value, what: str) -> int:
-    # bool is an int subclass, but a JSON true is not a count.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfigError(f"{what} must be an integer, got {value!r}")
-    return value
+def config_to_dict(config, fields: dict[str, Field] = CONFIG_FIELDS) -> dict:
+    """The JSON document of a SimConfig, or of one component given its sub-table."""
+    document = {}
+    for name, f in fields.items():
+        value = getattr(config, name)
+        if f.fields is not None:
+            value = config_to_dict(value, f.fields)
+        elif f.length is not None:
+            value = list(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        document[name] = value
+    return document
 
 
-def _real(value, what: str) -> float:
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
+def _from_json(value, f: Field, path: str):
+    """Check one JSON value's kind and shape against its row, and convert it."""
+    if f.fields is not None:
+        return config_from_dict(value, f.kind, f.fields, path)
+    if f.length is not None:
+        if not isinstance(value, list) or f.length is not ... and len(value) != f.length:
+            raise InvalidConfigError(f"{path} must be {_expected(f)}, got {value!r}")
+        item = f._replace(length=None)
+        return tuple(_from_json(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    if f.kind is float and type(value) in (int, float):
         try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise InvalidConfigError(f"{what} must be a finite number, got {value!r}")
+            return float(value)
+        except OverflowError:  # an integer past the float range: out of every bound
+            return math.inf
+    if type(value) is f.kind:  # exact: a JSON true is never an integer
+        return value
+    if issubclass(f.kind, Enum) and value in [m.value for m in f.kind]:
+        return f.kind(value)
+    raise InvalidConfigError(f"{path} must be {_expected(f)}, got {value!r}")
 
 
-def _flag(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise InvalidConfigError(f"{what} must be true or false, got {value!r}")
-    return value
+def config_from_dict(data, cls: type = SimConfig, fields: dict[str, Field] = CONFIG_FIELDS, path: str = ""):
+    """Build a SimConfig (or one component) from parsed JSON, by one walk over the table.
 
-
-def _array(value, what: str, item) -> tuple:
-    if not isinstance(value, list):
-        raise InvalidConfigError(f"{what} must be an array, got {value!r}")
-    return tuple(item(v, f"{what}[{i}]") for i, v in enumerate(value))
-
-
-def config_from_dict(data: dict) -> SimConfig:
-    """Build a SimConfig from parsed JSON; unknown keys (except _*) are errors.
-
-    Values must have their JSON type exactly: integers are never bools or
-    floats, numbers are finite, flags are true or false. Nothing is coerced.
+    Values must have their JSON kind exactly: integers are never bools or
+    floats, flags are true or false. Nothing is coerced. Keys starting
+    with ``_`` are ignored at every depth; any other unknown key, and a
+    missing key that has no default, is an error that names its dotted
+    path. The bounds are checked once, by constructing the SimConfig.
     """
     if not isinstance(data, dict):
-        raise InvalidConfigError("config file must hold a JSON object")
-    known = set(config_to_dict(SimConfig()))
-    payload = {k: v for k, v in data.items() if not k.startswith("_")}
-    unknown = set(payload) - known
+        raise InvalidConfigError(f"{path or 'config'} must be an object, got {data!r}")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(prefix + k for k in data if k not in fields and not k.startswith("_"))
     if unknown:
-        raise InvalidConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    for key in ("weight_matrix", "signal_mapping", "attribute_policy"):
-        if key in payload and not isinstance(payload[key], dict):
-            raise InvalidConfigError(f"{key} must be an object, got {payload[key]!r}")
-
-    defaults = SimConfig()
-    kwargs: dict = {}
+        raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
+    kwargs = {name: _from_json(data[name], f, prefix + name)
+              for name, f in fields.items() if name in data}
+    for d in dataclasses.fields(cls):  # a component field without a default is required
+        if d.name not in kwargs and d.default is d.default_factory is dataclasses.MISSING:
+            raise InvalidConfigError(f"{prefix}{d.name} is missing: expected {_expected(fields[d.name])}")
     try:
-        if "weight_matrix" in payload:
-            wm = payload["weight_matrix"]
-            kwargs["weight_matrix"] = WeightMatrix(
-                **{row: _array(wm[row], f"weight_matrix.{row}", _real)
-                   for row in ("pamp", "danger", "safe")}
-            )
-        if "signal_mapping" in payload:
-            sm = payload["signal_mapping"]
-            kwargs["signal_mapping"] = SignalMapping(
-                **{name: _array(sm[name], f"signal_mapping.{name}", _integer)
-                   for name in ("pamp_sources", "danger_sources", "safe_sources")},
-                safe_is_complement=_flag(
-                    sm.get("safe_is_complement", defaults.signal_mapping.safe_is_complement),
-                    "signal_mapping.safe_is_complement",
-                ),
-            )
-        if "attribute_policy" in payload:
-            ap = payload["attribute_policy"]
-            kwargs["attribute_policy"] = AttributePolicy(
-                missing_value_policy=MissingValuePolicy(
-                    ap.get(
-                        "missing_value_policy",
-                        defaults.attribute_policy.missing_value_policy.value,
-                    )
-                ),
-                lo=_real(ap.get("lo", defaults.attribute_policy.lo), "attribute_policy.lo"),
-                hi=_real(ap.get("hi", defaults.attribute_policy.hi), "attribute_policy.hi"),
-            )
-        for key in ("population_size", "dcs_per_antigen", "histogram_bins", "seed"):
-            if key in payload:
-                kwargs[key] = _integer(payload[key], key)
-        if "threshold_range" in payload:
-            lo, hi = _array(payload["threshold_range"], "threshold_range", _real)
-            kwargs["threshold_range"] = (lo, hi)
-        if "anomalous_threshold" in payload:
-            kwargs["anomalous_threshold"] = _real(
-                payload["anomalous_threshold"], "anomalous_threshold"
-            )
+        return cls(**kwargs)
     except InvalidConfigError:
         raise
-    except (LookupError, TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"malformed config value: {exc}") from exc
-
-    config = dataclasses.replace(defaults, **kwargs)
-    config.validate()
-    return config
+    except (IndexError, ValueError) as exc:  # a component's own invariant
+        raise InvalidConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path: Path) -> SimConfig:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
         raise InvalidConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
@@ -219,7 +153,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_default_config(path: Path) -> None:
-    document = {"_notes": CONFIG_NOTES}
+    document = {"_notes": {name: f.note for name, f in CONFIG_FIELDS.items()}}
     document.update(config_to_dict(SimConfig()))
     _atomic_write_text(path, json.dumps(document, indent=2) + "\n")
 
@@ -250,19 +184,8 @@ def report_json_text(report: RunReport, summary: DatasetSummary) -> str:
                 category.value: count for category, count in summary.label_counts.items()
             },
         },
-        "confusion": {
-            "tp": report.confusion.tp,
-            "tn": report.confusion.tn,
-            "fp": report.confusion.fp,
-            "fn": report.confusion.fn,
-        },
-        "metrics": {
-            "accuracy": report.metrics.accuracy,
-            "true_positive_rate": report.metrics.true_positive_rate,
-            "false_positive_rate": report.metrics.false_positive_rate,
-            "mean_mcav_normal": report.metrics.mean_mcav_normal,
-            "mean_mcav_anomalous": report.metrics.mean_mcav_anomalous,
-        },
+        "confusion": dataclasses.asdict(report.confusion),
+        "metrics": dataclasses.asdict(report.metrics),
         "histogram": {
             "edges": list(report.histogram.edges),
             "counts": list(report.histogram.counts),
@@ -306,7 +229,6 @@ def run_command(args: argparse.Namespace) -> int:
         config = load_config(Path(args.config)) if args.config else SimConfig()
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        config.validate()
     except InvalidConfigError as exc:
         print(f"dca-lab: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from types import EllipsisType
+from typing import IO, NamedTuple, Sequence
 
 from .agents import (
     AntigenAgent,
@@ -58,7 +60,7 @@ from .analysis import (
     build_histogram,
     compute_metrics,
 )
-from .data_ingest import AntigenRecord, AttributePolicy, EmptyDatasetError
+from .data_ingest import AntigenRecord, AttributePolicy, EmptyDatasetError, MissingValuePolicy
 from .signal_model import (
     DEFAULT_WEIGHT_MATRIX,
     SignalMapping,
@@ -69,6 +71,14 @@ from .signal_model import (
 )
 
 MAX_SEED = 2**64 - 1
+#: Largest population_size and histogram_bins: larger values are rejected
+#: before anything is allocated.
+MAX_SIZE = 10**6
+#: Largest |weight|. A pick adds at most 300 * MAX_WEIGHT to a DC's sums,
+#: so no run over a record count that fits in memory can reach the float
+#: maximum (about 1.8e308) and turn a sum into inf or nan.
+MAX_WEIGHT = 1e100
+_FLOAT_MAX = sys.float_info.max
 
 
 class InvalidConfigError(ValueError):
@@ -83,9 +93,63 @@ class UnflushableError(EngineFaultError):
     """An antigen still lacks contexts after flush."""
 
 
+class Field(NamedTuple):
+    """One config field: its JSON kind, inclusive bounds and ``gen-config`` note.
+
+    ``kind`` is int, float, bool, an Enum, or the component class that the
+    sub-table ``fields`` builds. With ``length`` the field is an array of
+    that many values (``...``: any number). Defaults come from the classes.
+    """
+
+    kind: type
+    lo: float | None = None
+    hi: float | None = None
+    length: int | EllipsisType | None = None
+    fields: dict[str, Field] | None = None
+    note: str | None = None
+
+
+_WEIGHTS = Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)
+_SOURCES = Field(int, length=...)
+_FINITE = Field(float, -_FLOAT_MAX, _FLOAT_MAX)
+_WEIGHT_FIELDS = {"pamp": _WEIGHTS, "danger": _WEIGHTS, "safe": _WEIGHTS}
+_MAPPING_FIELDS = {"pamp_sources": _SOURCES, "danger_sources": _SOURCES, "safe_sources": _SOURCES, "safe_is_complement": Field(bool)}
+_POLICY_FIELDS = {"missing_value_policy": Field(MissingValuePolicy), "lo": _FINITE, "hi": _FINITE}
+
+#: The config schema: one row per field, in ``SimConfig`` field order.
+#: ``SimConfig.validate`` checks its bounds; the CLI's JSON reader and
+#: writer and ``gen-config`` walk it. Thresholds must be > 0, so their
+#: lower bound is the smallest positive float.
+CONFIG_FIELDS: dict[str, Field] = {
+    "population_size": Field(int, 1, MAX_SIZE, note="number of DC agents alive at any instant (constant)"),
+    "dcs_per_antigen": Field(int, 1, MAX_SIZE, note="distinct DCs each antigen is presented to (its vote count)"),
+    "threshold_range": Field(float, math.ulp(0.0), _FLOAT_MAX, length=2, note="[t_min, t_max] for the per-DC migration threshold, drawn uniformly"),
+    "weight_matrix": Field(WeightMatrix, fields=_WEIGHT_FIELDS, note="per input signal: weights onto (csm, semi, mat); shipped values are a documented default, not a fitted result; the csm column must be nonnegative"),
+    "signal_mapping": Field(SignalMapping, fields=_MAPPING_FIELDS, note="attribute indices feeding each input signal; safe_is_complement inverts the safe source mean"),
+    "anomalous_threshold": Field(float, 0.0, 1.0, note="MCAV cutoff; an antigen is anomalous iff its MCAV strictly exceeds it"),
+    "histogram_bins": Field(int, 1, MAX_SIZE, note="equal-width MCAV histogram bins over [0, 1]"),
+    "attribute_policy": Field(AttributePolicy, fields=_POLICY_FIELDS, note="missing_value_policy is skip_record or impute_median; lo/hi are the fixed min-max normalization bounds"),
+    "seed": Field(int, 0, MAX_SEED, note="64-bit unsigned rng seed; identical seed + inputs reproduce a run exactly"),
+}
+
+
+def _check_bounds(obj, fields: dict[str, Field], prefix: str = "") -> None:
+    for name, f in fields.items():
+        value = getattr(obj, name)
+        if f.fields is not None:
+            _check_bounds(value, f.fields, f"{prefix}{name}.")
+        elif f.lo is not None:
+            for v in value if f.length is not None else (value,):
+                if not f.lo <= v <= f.hi:
+                    raise InvalidConfigError(f"{prefix}{name} must be in [{f.lo}, {f.hi}], got {v}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Full run configuration; every field has a shipped default."""
+    """Full run configuration; every field has a shipped default.
+
+    Construction validates: an instance that exists is a valid config.
+    """
 
     population_size: int = 100
     dcs_per_antigen: int = 10
@@ -99,33 +163,20 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "threshold_range", tuple(self.threshold_range))
+        self.validate()
 
     def validate(self) -> None:
-        if self.population_size < 1:
-            raise InvalidConfigError(
-                f"population_size must be >= 1, got {self.population_size}"
-            )
-        if not 1 <= self.dcs_per_antigen <= self.population_size:
+        """Check every bound in CONFIG_FIELDS, then the two cross-field rules."""
+        _check_bounds(self, CONFIG_FIELDS)
+        if self.dcs_per_antigen > self.population_size:
             raise InvalidConfigError(
                 f"dcs_per_antigen must be in [1, population_size={self.population_size}], "
                 f"got {self.dcs_per_antigen}"
             )
         t_min, t_max = self.threshold_range
-        if not 0 < t_min <= t_max < math.inf:
+        if t_min > t_max:
             raise InvalidConfigError(
-                f"threshold_range must satisfy 0 < t_min <= t_max < inf, got [{t_min}, {t_max}]"
-            )
-        if not 0.0 <= self.anomalous_threshold <= 1.0:
-            raise InvalidConfigError(
-                f"anomalous_threshold must be in [0, 1], got {self.anomalous_threshold}"
-            )
-        if self.histogram_bins < 1:
-            raise InvalidConfigError(
-                f"histogram_bins must be >= 1, got {self.histogram_bins}"
-            )
-        if not 0 <= self.seed <= MAX_SEED:
-            raise InvalidConfigError(
-                f"seed must be a 64-bit unsigned integer, got {self.seed}"
+                f"threshold_range must satisfy t_min <= t_max, got [{t_min}, {t_max}]"
             )
 
 
@@ -181,7 +232,6 @@ class TraceLog:
 
 def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
     """Create N immature DCs (thresholds drawn in DC-index order) at tick 0."""
-    config.validate()
     if not records:
         raise EmptyDatasetError("cannot initialize a world with zero records")
     t_min, t_max = config.threshold_range
@@ -364,7 +414,6 @@ def run(
     A deterministic function of (config, records): identical inputs give
     identical reports, including every rng-dependent field.
     """
-    config.validate()
     if not records:
         raise EmptyDatasetError("cannot run on zero records")
     _check_mapping_fits(config, records)

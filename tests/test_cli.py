@@ -1,6 +1,11 @@
 """CLI surface: config round-trip, output files, exit codes, determinism."""
 
+import copy
+import functools
+import hashlib
 import json
+import math
+import operator
 import os
 import random
 import subprocess
@@ -8,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dca_lab
 
@@ -20,7 +26,7 @@ from dca_lab.cli import (
     config_to_dict,
     main,
 )
-from dca_lab.engine import SimConfig
+from dca_lab.engine import MAX_SIZE, MAX_WEIGHT, InvalidConfigError, SimConfig
 
 
 def write_dataset(path, rows=12, seed=1):
@@ -53,6 +59,74 @@ class TestConfigCodec:
         data["_notes"] = {"anything": "goes"}
         assert config_from_dict(data) == SimConfig()
 
+    def test_underscore_keys_ignored_in_nested_sections(self):
+        data = config_to_dict(SimConfig())
+        for section in ("weight_matrix", "signal_mapping", "attribute_policy"):
+            data[section]["_comment"] = [1, "anything"]
+        assert config_from_dict(data) == SimConfig()
+
+    def test_each_bound_itself_is_accepted(self):
+        data = config_to_dict(SimConfig())
+        data.update(population_size=MAX_SIZE, dcs_per_antigen=MAX_SIZE, histogram_bins=MAX_SIZE)
+        data["weight_matrix"]["safe"] = [MAX_WEIGHT, MAX_WEIGHT, -MAX_WEIGHT]
+        config = config_from_dict(data)  # builds the config only; nothing is allocated
+        assert config.population_size == config.histogram_bins == MAX_SIZE
+        assert config.weight_matrix.safe == (MAX_WEIGHT, MAX_WEIGHT, -MAX_WEIGHT)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mutated_document_is_accepted_or_rejected_cleanly(self, data):
+        document = config_to_dict(SimConfig())
+        for _ in range(data.draw(st.integers(1, 4))):
+            document = data.draw(mutated(document))
+        try:
+            config = config_from_dict(document)
+        except InvalidConfigError:
+            return
+        assert isinstance(config, SimConfig)
+
+
+#: Values a mutation may insert: the extremes and wrong types a config file can hold,
+#: then any JSON-shaped value.
+EXTREMES = [0, -1, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+            2**64, -(2**63), 10**400, -(10**400), True, False, None, "", [], {}]
+json_values = st.sampled_from(EXTREMES) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def node_paths(node, path=()):
+    """The key path of ``node`` and of every value inside it, containers included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` with one node, drawn from all of them, retyped, nested, dropped or added to."""
+    document = copy.deepcopy(document)
+    path = draw(st.sampled_from(list(node_paths(document))))
+    if not path:
+        return draw(json_values | st.just([document]))
+    parent = functools.reduce(operator.getitem, path[:-1], document)
+    node = parent[path[-1]]
+    action = draw(st.sampled_from(("replace", "nest", "drop", "add")))
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "add" and isinstance(node, dict):
+        node[draw(st.text(max_size=12))] = draw(json_values)
+    elif action == "add" and isinstance(node, list):
+        node.append(draw(json_values))
+    elif action == "nest":
+        parent[path[-1]] = draw(st.sampled_from(([node], {"value": node})))
+    else:
+        parent[path[-1]] = draw(json_values)
+    return document
+
 
 class TestGenConfig:
     def test_generates_parseable_defaults(self, tmp_path):
@@ -73,6 +147,15 @@ class TestGenConfig:
                      "--out", str(out_b)]) == EXIT_OK
         for name in ("results.csv", "report.json", "histogram.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "config.json"
+        assert main(["gen-config", "--out", str(out)]) == EXIT_OK
+        written = out.read_bytes()
+        assert len(written) == 1796
+        assert hashlib.sha256(written).hexdigest() == (
+            "3b23b135d265d34f437a4ba57a06ff6dfe552da4ee6d71dcb4f7e276ee2a458b"
+        )
 
     def test_unwritable_path_reports_io_error(self, tmp_path, capsys):
         target = tmp_path / "not-a-dir"
@@ -225,6 +308,39 @@ REJECTED_CONFIGS = {
     ),
     "string_anomalous_threshold": ('{"anomalous_threshold": "0.5"}', "anomalous_threshold"),
     "policy_not_an_object": ('{"attribute_policy": [1]}', "attribute_policy"),
+    # Unknown keys are rejected at every depth, by dotted path.
+    "misspelled_policy_key": (
+        '{"attribute_policy": {"missing_value_polcy": "impute_median"}}',
+        "attribute_policy.missing_value_polcy",
+    ),
+    "misspelled_mapping_key": (
+        json.dumps({"signal_mapping": dict(VALID_MAPPING, safe_is_compliment=False)}),
+        "signal_mapping.safe_is_compliment",
+    ),
+    "misspelled_weight_row": (
+        json.dumps({"weight_matrix": {"pamq": [2, 0, 2], "danger": [1, 0, 1],
+                                      "safe": [2, 3, -3]}}),
+        "weight_matrix.pamq",
+    ),
+    # Each bound plus one (for the weight cap, the next float above it).
+    "population_size_above_bound": ('{"population_size": %d}' % (MAX_SIZE + 1),
+                                    "population_size"),
+    "histogram_bins_above_bound": ('{"histogram_bins": %d}' % (MAX_SIZE + 1), "histogram_bins"),
+    "weight_above_cap": (
+        json.dumps({"weight_matrix": {"pamp": [2, 0, math.nextafter(MAX_WEIGHT, math.inf)],
+                                      "danger": [1, 0, 1], "safe": [2, 3, -3]}}),
+        "weight_matrix.pamp",
+    ),
+    "near_float_max_weights": (
+        json.dumps({"weight_matrix": {row: [1e308] * 3 for row in ("pamp", "danger", "safe")}}),
+        "weight_matrix.pamp",
+    ),
+    # Diagnostics name the field and what it expected.
+    "missing_weight_row": ('{"weight_matrix": {"pamp": [2, 0, 2]}}', "weight_matrix.danger"),
+    "three_thresholds": ('{"threshold_range": [1, 2, 3]}', "threshold_range"),
+    # Files json.loads cannot turn into a value.
+    "over_long_integer": ('{"seed": %s}' % ("1" * 5000), "invalid config"),
+    "deeply_nested_json": ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
 }
 
 
@@ -239,6 +355,14 @@ class TestRejectedInputs:
                                "--out", str(tmp_path / "out"))
         assert_one_line_diagnostic(proc, EXIT_CONFIG, "invalid config", fragment)
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_non_utf8_config_exits_4(self, tmp_path):
+        data = write_dataset(tmp_path / "d.data")
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"seed": 1, "_note": "\xff"}')
+        proc = run_cli_process("run", "--data", str(data), "--config", str(config_path),
+                               "--out", str(tmp_path / "out"))
+        assert_one_line_diagnostic(proc, EXIT_CONFIG, str(config_path), "0xff")
 
     def test_non_utf8_dataset_exits_3(self, tmp_path):
         data = tmp_path / "latin1.data"
