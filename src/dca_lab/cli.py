@@ -36,6 +36,7 @@ from .engine import (
     RunReport,
     SimConfig,
     TraceLog,
+    expected_text,
     run,
 )
 
@@ -47,19 +48,6 @@ EXIT_ENGINE = 5
 EXIT_IO = 6
 
 OUT_DIR_ENV_VAR = "DCA_LAB_OUT"
-
-_KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false"}
-
-
-def _expected(f: Field) -> str:
-    if f.fields is not None:
-        return "an object"
-    one = _KIND_TEXT.get(f.kind) or "one of " + ", ".join(repr(m.value) for m in f.kind)
-    if f.length is None:
-        return one
-    count = "" if f.length is ... else f"{f.length} "
-    return f"an array of {count}values, each {one}"
-
 
 def config_to_dict(config, fields: dict[str, Field] = CONFIG_FIELDS) -> dict:
     """The JSON document of a SimConfig, or of one component given its sub-table."""
@@ -82,7 +70,7 @@ def _from_json(value, f: Field, path: str):
         return config_from_dict(value, f.kind, f.fields, path)
     if f.length is not None:
         if not isinstance(value, list) or f.length is not ... and len(value) != f.length:
-            raise InvalidConfigError(f"{path} must be {_expected(f)}, got {value!r}")
+            raise InvalidConfigError(f"{path} must be {expected_text(f)}, got {value!r}")
         item = f._replace(length=None)
         return tuple(_from_json(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     if f.kind is float and type(value) in (int, float):
@@ -94,7 +82,7 @@ def _from_json(value, f: Field, path: str):
         return value
     if issubclass(f.kind, Enum) and value in [m.value for m in f.kind]:
         return f.kind(value)
-    raise InvalidConfigError(f"{path} must be {_expected(f)}, got {value!r}")
+    raise InvalidConfigError(f"{path} must be {expected_text(f)}, got {value!r}")
 
 
 def config_from_dict(data, cls: type = SimConfig, fields: dict[str, Field] = CONFIG_FIELDS, path: str = ""):
@@ -116,7 +104,7 @@ def config_from_dict(data, cls: type = SimConfig, fields: dict[str, Field] = CON
               for name, f in fields.items() if name in data}
     for d in dataclasses.fields(cls):  # a component field without a default is required
         if d.name not in kwargs and d.default is d.default_factory is dataclasses.MISSING:
-            raise InvalidConfigError(f"{prefix}{d.name} is missing: expected {_expected(fields[d.name])}")
+            raise InvalidConfigError(f"{prefix}{d.name} is missing: expected {expected_text(fields[d.name])}")
     try:
         return cls(**kwargs)
     except InvalidConfigError:

@@ -9,9 +9,11 @@ over [1, 10] and whose class codes are 2 (Normal) and 4 (Anomalous).
 
 from __future__ import annotations
 
-import statistics
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .agents import Category
@@ -166,16 +168,38 @@ def _iter_lines(source) -> Iterator[str]:
         yield from lines
 
 
-def _column_medians(rows: list[RawRecord]) -> list[int]:
-    """Per-column median of the non-missing values; even counts take the lower middle."""
+#: The class tokens a row may carry as they are, and whether each marks an
+#: anomalous row. Any other spelling that ``int()`` reads as 2 or 4 still
+#: loads, through ``parse_record``.
+_CLASS_TOKENS = {str(NORMAL_CLASS_CODE): False, str(ANOMALOUS_CLASS_CODE): True}
+
+#: One parsed row: line number, sample id, attribute values (None where
+#: missing) and whether the class code is the anomalous one.
+_Row = tuple[int, int, tuple[int | None, ...], bool]
+
+
+def _median_low(counts: Counter) -> int:
+    """``statistics.median_low`` of the counted values: the one at sorted index (n - 1) // 2."""
+    values = sorted(counts)
+    ends = list(accumulate(counts[v] for v in values))  # ends[j]: how many are <= values[j]
+    return values[bisect_right(ends, (ends[-1] - 1) // 2)]
+
+
+def _column_medians(rows: list[_Row]) -> list[int]:
+    """Per-column median of the non-missing values; even counts take the lower middle.
+
+    Each column is counted per distinct value, which is cheap because the
+    attributes take only a few distinct values.
+    """
     medians: list[int] = []
-    for col in range(ATTRIBUTE_COUNT):
-        present = [row.attributes[col] for row in rows if row.attributes[col] is not None]
-        if not present:
+    for col, column in enumerate(zip(*(values for _, _, values, _ in rows)), start=1):
+        counts = Counter(column)
+        del counts[None]
+        if not counts:
             raise DatasetError(
-                f"attribute column {col + 1} has no non-missing values to impute from"
+                f"attribute column {col} has no non-missing values to impute from"
             )
-        medians.append(statistics.median_low(present))
+        medians.append(_median_low(counts))
     return medians
 
 
@@ -187,65 +211,75 @@ def load_dataset(
 
     ``source`` may be a text or binary stream or any iterable of lines.
     Blank lines are ignored. Parse and normalization errors are re-raised
-    with the offending 1-based line number. A pure function of the bytes
-    and the policy: identical inputs yield identical record lists.
+    with the offending 1-based line number: the first parse error in file
+    order, then a column with nothing to impute from, then the first
+    out-of-range value in the order of the kept rows. A pure function of
+    the bytes and the policy: identical inputs yield identical record lists.
+
+    Each distinct attribute token is parsed once and each distinct value
+    normalized once, by table lookup. A row with 11 fields, an integer
+    sample id, a class token of ``2`` or ``4`` and only known attribute
+    tokens is read from the tables; every other row goes through
+    ``parse_record``, which raises the row's diagnostic or teaches the
+    table its tokens. ``normalize_attribute`` fills the value table, so
+    the floats are the ones it returns.
     """
-    parsed: list[tuple[int, RawRecord]] = []
+    tokens: dict[str, int | None] = {MISSING_MARKER: None}
+    token_value = tokens.__getitem__
+    rows: list[_Row] = []
     for lineno, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
+        text = line.strip()
+        if not text:
             continue
+        fields = text.split(",")
+        anomalous = _CLASS_TOKENS.get(fields[-1]) if len(fields) == FIELD_COUNT else None
+        if anomalous is not None:
+            try:
+                rows.append((lineno, int(fields[0]), tuple(map(token_value, fields[1:-1])), anomalous))
+                continue
+            except (KeyError, ValueError):  # an unknown token or a bad sample id
+                pass
         try:
-            parsed.append((lineno, parse_record(line)))
+            raw = parse_record(line)
         except DatasetError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from exc
+        tokens.update(zip(fields[1:-1], raw.attributes))
+        rows.append((lineno, raw.sample_id, raw.attributes, raw.class_code == ANOMALOUS_CLASS_CODE))
 
-    rows_read = len(parsed)
-    if policy.missing_value_policy is MissingValuePolicy.SKIP_RECORD:
-        kept = [(lineno, row) for lineno, row in parsed if None not in row.attributes]
-        rows_skipped = rows_read - len(kept)
-    else:
-        medians = _column_medians([row for _, row in parsed]) if parsed else []
-        kept = [
-            (
-                lineno,
-                RawRecord(
-                    sample_id=row.sample_id,
-                    attributes=tuple(
-                        medians[i] if v is None else v
-                        for i, v in enumerate(row.attributes)
-                    ),
-                    class_code=row.class_code,
-                ),
-            )
-            for lineno, row in parsed
-        ]
-        rows_skipped = 0
-
-    if not kept:
+    impute = policy.missing_value_policy is not MissingValuePolicy.SKIP_RECORD
+    medians = _column_medians(rows) if impute else []
+    labels = (Category.NORMAL, Category.ANOMALOUS)
+    normalized: dict[int, float] = {}
+    normalized_value = normalized.__getitem__
+    records: list[AntigenRecord] = []
+    anomalous_count = 0
+    for lineno, sample_id, values, anomalous in rows:
+        if None in values:
+            if not impute:
+                continue
+            values = tuple(medians[i] if v is None else v for i, v in enumerate(values))
+        try:
+            attributes = tuple(map(normalized_value, values))
+        except KeyError:
+            for v in values:
+                if v not in normalized:
+                    try:
+                        normalized[v] = normalize_attribute(v, policy.lo, policy.hi)
+                    except DatasetError as exc:
+                        raise type(exc)(f"line {lineno}: {exc}") from exc
+            attributes = tuple(map(normalized_value, values))
+        records.append(AntigenRecord(len(records), sample_id, attributes, labels[anomalous]))
+        anomalous_count += anomalous
+    if not records:
         raise EmptyDatasetError("no records produced")
 
-    records: list[AntigenRecord] = []
-    summary = DatasetSummary(rows_read=rows_read, rows_skipped=rows_skipped)
-    for antigen_id, (lineno, row) in enumerate(kept):
-        try:
-            attributes = tuple(
-                normalize_attribute(v, policy.lo, policy.hi) for v in row.attributes
-            )
-        except DatasetError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from exc
-        label = (
-            Category.ANOMALOUS
-            if row.class_code == ANOMALOUS_CLASS_CODE
-            else Category.NORMAL
-        )
-        records.append(
-            AntigenRecord(
-                antigen_id=antigen_id,
-                source_sample_id=row.sample_id,
-                attributes=attributes,
-                true_label=label,
-            )
-        )
-        summary.label_counts[label] += 1
-    summary.records_produced = len(records)
+    summary = DatasetSummary(
+        rows_read=len(rows),
+        rows_skipped=len(rows) - len(records),
+        records_produced=len(records),
+        label_counts={
+            Category.NORMAL: len(records) - anomalous_count,
+            Category.ANOMALOUS: anomalous_count,
+        },
+    )
     return records, summary

@@ -117,9 +117,10 @@ _MAPPING_FIELDS = {"pamp_sources": _SOURCES, "danger_sources": _SOURCES, "safe_s
 _POLICY_FIELDS = {"missing_value_policy": Field(MissingValuePolicy), "lo": _FINITE, "hi": _FINITE}
 
 #: The config schema: one row per field, in ``SimConfig`` field order.
-#: ``SimConfig.validate`` checks its bounds; the CLI's JSON reader and
-#: writer and ``gen-config`` walk it. Thresholds must be > 0, so their
-#: lower bound is the smallest positive float.
+#: ``SimConfig.validate`` checks each value's kind, array length and
+#: bounds against it; the CLI's JSON reader and writer and ``gen-config``
+#: walk it. Thresholds must be > 0, so their lower bound is the smallest
+#: positive float.
 CONFIG_FIELDS: dict[str, Field] = {
     "population_size": Field(int, 1, MAX_SIZE, note="number of DC agents alive at any instant (constant)"),
     "dcs_per_antigen": Field(int, 1, MAX_SIZE, note="distinct DCs each antigen is presented to (its vote count)"),
@@ -133,15 +134,42 @@ CONFIG_FIELDS: dict[str, Field] = {
 }
 
 
+_KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def expected_text(f: Field) -> str:
+    """What a field's value must be, in the words of its JSON document."""
+    if f.fields is not None:
+        return "an object"
+    one = _KIND_TEXT.get(f.kind) or "one of " + ", ".join(repr(m.value) for m in f.kind)
+    if f.length is None:
+        return one
+    count = "" if f.length is ... else f"{f.length} "
+    return f"an array of {count}values, each {one}"
+
+
+def _has_kind(value, kind: type) -> bool:
+    """Whether a Python value fits a field's kind: a bool is only a flag, an int is also a number."""
+    if isinstance(value, bool) or kind is bool:
+        return type(value) is kind
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _check_bounds(obj, fields: dict[str, Field], prefix: str = "") -> None:
+    """Check each value's kind, array length and bounds against its row."""
     for name, f in fields.items():
-        value = getattr(obj, name)
+        value, path = getattr(obj, name), prefix + name
+        items = (value,) if f.length is None else value
+        shaped = f.length is None or isinstance(value, tuple) and f.length in (..., len(value))
+        if not shaped or not all(_has_kind(v, f.kind) for v in items):
+            expected = expected_text(f) if f.kind in _KIND_TEXT else f"a {f.kind.__name__}"
+            raise InvalidConfigError(f"{path} must be {expected}, got {value!r}")
         if f.fields is not None:
-            _check_bounds(value, f.fields, f"{prefix}{name}.")
+            _check_bounds(value, f.fields, f"{path}.")
         elif f.lo is not None:
-            for v in value if f.length is not None else (value,):
+            for v in items:
                 if not f.lo <= v <= f.hi:
-                    raise InvalidConfigError(f"{prefix}{name} must be in [{f.lo}, {f.hi}], got {v}")
+                    raise InvalidConfigError(f"{path} must be in [{f.lo}, {f.hi}], got {v}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +190,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "threshold_range", tuple(self.threshold_range))
+        if isinstance(self.threshold_range, list):
+            object.__setattr__(self, "threshold_range", tuple(self.threshold_range))
         self.validate()
 
     def validate(self) -> None:

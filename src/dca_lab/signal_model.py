@@ -128,13 +128,15 @@ def default_signal_mapping(attribute_count: int = 9) -> SignalMapping:
 
 
 def _source_mean(attributes: Sequence[float], sources: tuple[int, ...]) -> float:
-    # Left-to-right sum; the reference implementation mirrors this exactly.
+    if max(sources) >= len(attributes):
+        idx = next(idx for idx in sources if idx >= len(attributes))
+        raise IndexOutOfBoundsError(
+            f"source index {idx} out of bounds for {len(attributes)} attributes"
+        )
+    # Left-to-right sum, not sum(): the reference implementation mirrors this
+    # exactly, and sum() rounds differently from Python 3.12 on.
     total = 0.0
     for idx in sources:
-        if idx >= len(attributes):
-            raise IndexOutOfBoundsError(
-                f"source index {idx} out of bounds for {len(attributes)} attributes"
-            )
         total += attributes[idx]
     return total / len(sources)
 

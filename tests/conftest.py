@@ -7,6 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dca_lab.agents import Category
 from dca_lab.data_ingest import AntigenRecord
@@ -14,6 +15,13 @@ from dca_lab.engine import SimConfig
 from dca_lab.signal_model import SignalMapping, WeightMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# CI runs every property test on a fixed sequence of examples, so a run
+# under ``-W error`` passes or fails the same way each time. GitHub
+# Actions sets CI; locally the examples stay random.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 #: Where the real UCI file is looked for (env var wins). The 699-row
 #: breast-cancer-wisconsin.data distribution is not redistributed with this

@@ -1,20 +1,23 @@
 """Parsing, normalization and loading behavior of the dataset reader."""
 
 import io
+import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dca_lab.agents import Category
 from dca_lab.data_ingest import (
     AttributePolicy,
     BadBoundsError,
     ClassCodeError,
+    DatasetError,
     EmptyDatasetError,
     FieldCountError,
     MissingValuePolicy,
     NonNumericFieldError,
     OutOfRangeError,
+    RawRecord,
     load_dataset,
     normalize_attribute,
     parse_record,
@@ -208,3 +211,129 @@ class TestLoadDataset:
         policy = AttributePolicy(lo=0.0, hi=20.0)
         records, _ = load_dataset(_stream("1,0,5,10,20,0,0,0,0,0,2"), policy)
         assert records[0].attributes[:4] == (0.0, 0.25, 0.5, 1.0)
+
+
+def _reference_load(lines, policy):
+    """The loader written out plainly: parse every row, take each column's
+    median_low of a list, then normalize each value, row by row."""
+    parsed: list[tuple[int, RawRecord]] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            parsed.append((lineno, parse_record(line)))
+        except DatasetError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
+    if policy.missing_value_policy is MissingValuePolicy.SKIP_RECORD:
+        kept = [(lineno, row.attributes, row) for lineno, row in parsed if None not in row.attributes]
+    else:
+        medians = []
+        for col in range(9):
+            present = [row.attributes[col] for _, row in parsed if row.attributes[col] is not None]
+            if parsed and not present:
+                raise DatasetError(
+                    f"attribute column {col + 1} has no non-missing values to impute from"
+                )
+            medians.append(statistics.median_low(present) if present else None)
+        kept = [
+            (lineno, tuple(medians[i] if v is None else v for i, v in enumerate(row.attributes)), row)
+            for lineno, row in parsed
+        ]
+    if not kept:
+        raise EmptyDatasetError("no records produced")
+    records = []
+    labels = {Category.NORMAL: 0, Category.ANOMALOUS: 0}
+    for antigen_id, (lineno, values, row) in enumerate(kept):
+        try:
+            attributes = tuple(normalize_attribute(v, policy.lo, policy.hi) for v in values)
+        except DatasetError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
+        label = Category.ANOMALOUS if row.class_code == 4 else Category.NORMAL
+        labels[label] += 1
+        records.append((antigen_id, row.sample_id, attributes, label))
+    return records, (len(parsed), len(parsed) - len(kept), len(records), labels)
+
+
+def _outcome(load, lines, policy):
+    try:
+        return load(lines, policy)
+    except DatasetError as exc:
+        return type(exc), str(exc)
+
+
+def _loaded(lines, policy):
+    records, summary = load_dataset(lines, policy)
+    return (
+        [(r.antigen_id, r.source_sample_id, r.attributes, r.true_label) for r in records],
+        (summary.rows_read, summary.rows_skipped, summary.records_produced, summary.label_counts),
+    )
+
+
+# Spellings that int() reads, ones out of [1, 10] and ones it rejects; the
+# weights keep whole files and every kind of failure common.
+ATTRIBUTE_SPELLINGS = (
+    [str(v) for v in range(1, 11)] * 2
+    + [" 5", "05", "+3", "1_0", "\u0665", "0", "11", "-1"]
+    + ["x", "", "3.0"]
+)
+SAMPLE_IDS = ["1000025", "7"] * 8 + ["-3", "\u0665", "1_0", "?", "x", ""]
+CLASS_CODES = ["2", "4"] * 8 + ["3", " 4", "02", "x", "?"]
+IMPUTE = MissingValuePolicy.IMPUTE_MEDIAN
+SKIP = MissingValuePolicy.SKIP_RECORD
+
+
+@st.composite
+def wbc_like_lines(draw):
+    """A few rows, each field drawn from a small per-file alphabet of spellings,
+    with missing markers in one or two columns at a per-file rate."""
+    def alphabet(spellings):
+        return st.sampled_from(draw(st.lists(st.sampled_from(spellings), min_size=1, max_size=4)))
+
+    sample_ids, attributes, class_codes = map(alphabet, (SAMPLE_IDS, ATTRIBUTE_SPELLINGS, CLASS_CODES))
+    missing_columns = st.sampled_from(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)))
+    missing_in_four = draw(st.sampled_from([0, 1, 2, 4]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 16 + ["fields", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+            continue
+        count = 9 if kind == "row" else draw(st.integers(0, 12).filter(lambda n: n != 9))
+        fields = [draw(sample_ids), *(draw(attributes) for _ in range(count)), draw(class_codes)]
+        if draw(st.integers(1, 4)) <= missing_in_four:
+            column = draw(missing_columns)
+            if column < len(fields) - 1:
+                fields[column] = "?"
+        lines.append(",".join(fields))
+    return lines
+
+
+policies = st.builds(
+    lambda rule, bounds: AttributePolicy(rule, *bounds),
+    st.sampled_from([SKIP, IMPUTE]),
+    st.sampled_from([(1.0, 10.0), (0.0, 20.0), (2.0, 8.0), (-1.5, 11.25)]),
+)
+
+
+@settings(max_examples=400)
+@given(lines=wbc_like_lines(), policy=policies)
+# A bad class code after an out-of-range value: every parse error comes first.
+@example(lines=["1,11,1,1,1,1,1,1,1,1,2", "2,1,1,1,1,1,1,1,1,1,3"], policy=AttributePolicy())
+# An all-missing column has nothing to impute from.
+@example(
+    lines=["1,1,1,?,1,1,1,1,1,1,2", "2,2,2,?,2,2,2,2,2,2,4"],
+    policy=AttributePolicy(IMPUTE),
+)
+# An even count takes the lower middle: column 1 holds 1, 2, 4, 8, so 2.
+@example(
+    lines=[
+        "1,1,1,1,1,1,1,1,1,1,2",
+        "2,8,1,1,1,1,1,1,1,1,2",
+        "3,4,1,1,1,1,1,1,1,1,2",
+        "4,2,1,1,1,1,1,1,1,1,2",
+        "5,?,1,1,1,1,1,1,1,1,4",
+    ],
+    policy=AttributePolicy(IMPUTE),
+)
+def test_matches_reference_ingest(lines, policy):
+    assert _outcome(_loaded, lines, policy) == _outcome(_reference_load, lines, policy)

@@ -78,6 +78,26 @@ class TestSimConfig:
         with pytest.raises(InvalidConfigError):
             SimConfig(seed=-1).validate()
 
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"population_size": True, "dcs_per_antigen": 1}, "population_size must be an integer, got True"),
+            ({"population_size": "5"}, "population_size must be an integer, got '5'"),
+            ({"threshold_range": (1, 2, 3)}, "threshold_range must be an array of 2 values, each a number, got (1, 2, 3)"),
+            ({"threshold_range": (100.0, False)}, "threshold_range must be an array of 2 values, each a number"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"weight_matrix": None}, "weight_matrix must be a WeightMatrix, got None"),
+        ],
+    )
+    def test_python_values_of_the_wrong_kind_are_rejected(self, kwargs, message):
+        with pytest.raises(InvalidConfigError) as excinfo:
+            SimConfig(**kwargs)
+        assert str(excinfo.value).startswith(message)
+
+    def test_an_integer_is_a_number(self):
+        assert SimConfig(threshold_range=(100, 300)).threshold_range == (100, 300)
+        assert SimConfig(threshold_range=[100.0, 300.0]).threshold_range == (100.0, 300.0)
+
 
 class TestInitWorld:
     def test_construction_contract(self):

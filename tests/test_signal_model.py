@@ -55,6 +55,12 @@ class TestDeriveInputSignals:
         with pytest.raises(IndexOutOfBoundsError):
             derive_input_signals([0.5, 0.5], mapping)
 
+    def test_out_of_bounds_message_names_the_first_bad_index(self):
+        mapping = SignalMapping((0,), (1, 7, 2, 5, 0), (0,))
+        with pytest.raises(IndexOutOfBoundsError) as excinfo:
+            derive_input_signals([0.5, 0.5], mapping)
+        assert str(excinfo.value) == "source index 7 out of bounds for 2 attributes"
+
     def test_negative_index_rejected(self):
         with pytest.raises(IndexOutOfBoundsError):
             SignalMapping((0,), (-1,), (0,))
