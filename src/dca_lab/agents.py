@@ -1,7 +1,7 @@
-"""The Antigen and DC agent state machines and their decision rules.
+"""The Antigen and DC agents and their decision rules.
 
-Antigen agents carry one data record each and collect one context bit per
-DC that sampled them; DC agents fuse signals from picked antigens until
+Antigen agents stand for one data record each and count one context bit
+per DC that sampled them; DC agents fuse signals from picked antigens until
 their cumulative csm exceeds an individually assigned migration threshold,
 then vote 0 (semimature) or 1 (mature) to every antigen they sampled.
 All transitions are plain functions invoked by the engine; no agent owns
@@ -25,24 +25,8 @@ class Category(Enum):
     ANOMALOUS = "anomalous"
 
 
-class DCState(Enum):
-    """DC lifecycle. Immature may become Semimature or Mature; both are terminal."""
-
-    IMMATURE = "immature"
-    SEMIMATURE = "semimature"
-    MATURE = "mature"
-
-
 class SampleTooLargeError(ValueError):
     """Asked for more distinct DCs than the population holds."""
-
-
-class NotImmatureError(RuntimeError):
-    """A matured DC received a 'picked' message (an engine bug)."""
-
-
-class ContextOverflowError(RuntimeError):
-    """An antigen received more contexts than DCs sampled it (an engine bug)."""
 
 
 class EmptyContextsError(ValueError):
@@ -63,7 +47,6 @@ class DCAgent:
 
     dc_id: int
     migration_threshold: float
-    state: DCState = DCState.IMMATURE
     cum_csm: float = 0.0
     cum_semi: float = 0.0
     cum_mat: float = 0.0
@@ -80,19 +63,18 @@ class DCAgent:
 
 @dataclass(slots=True)
 class AntigenAgent:
-    """A data carrier: one record, awaiting one context bit per DC pick.
+    """One record in flight, awaiting one context bit per DC pick.
 
-    ``mcav`` and ``predicted`` stay None until all ``expected_contexts``
-    bits have arrived.
+    ``received`` counts the bits that have arrived and ``ones`` those equal
+    to 1. ``mcav`` stays None until all ``expected_contexts`` have arrived.
     """
 
     antigen_id: int
-    attributes: tuple[float, ...]
     true_label: Category
     expected_contexts: int
-    received: list[int] = field(default_factory=list)
+    received: int = 0
+    ones: int = 0
     mcav: float | None = None
-    predicted: Category | None = None
 
 
 def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> list[int]:
@@ -123,13 +105,9 @@ def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> lis
 def dc_handle_picked(dc: DCAgent, antigen_id: int, out: OutputSignals) -> DCAgent:
     """Process one pick: record the antigen and add its output signals in place.
 
-    The three additions are the ones ``signal_model.accumulate`` makes, in
-    the same order, so the sums are bit-identical to folding with it.
+    Each of the three sums gets one addition per pick, in pick order, so
+    a sum is a left-to-right fold over the DC's picks.
     """
-    if dc.state is not DCState.IMMATURE:
-        raise NotImmatureError(
-            f"DC {dc.dc_id} received a pick while {dc.state.value}"
-        )
     dc.sampled.append(antigen_id)
     dc.cum_csm += out.csm
     dc.cum_semi += out.semi
@@ -142,28 +120,25 @@ def dc_should_migrate(dc: DCAgent) -> bool:
     return dc.cum_csm > dc.migration_threshold
 
 
-def dc_decide_context(dc: DCAgent) -> tuple[DCState, int]:
+def dc_decide_context(dc: DCAgent) -> tuple[str, int]:
     """Differentiation decision on the current cumulative values.
 
-    Semimature (context 0) iff cum_semi > cum_mat; ties go to Mature
-    (context 1). Does not mutate the DC; the engine applies the state.
+    Returns the state a voting DC takes, named as ``trace.csv`` prints it,
+    and its context bit: semimature (0) iff cum_semi > cum_mat, ties go to
+    mature (1). A DC is immature until it votes, and is reset as a new
+    immature DC right after, so no state is stored.
     """
     if dc.cum_semi > dc.cum_mat:
-        return DCState.SEMIMATURE, 0
-    return DCState.MATURE, 1
+        return "semimature", 0
+    return "mature", 1
 
 
 def antigen_handle_context(ag: AntigenAgent, bit: int) -> AntigenAgent:
-    """Append one context bit; compute the MCAV once the last bit arrives."""
-    received = ag.received
-    if len(received) >= ag.expected_contexts:
-        raise ContextOverflowError(
-            f"antigen {ag.antigen_id} already holds {len(received)} of "
-            f"{ag.expected_contexts} contexts"
-        )
-    received.append(bit)
-    if len(received) == ag.expected_contexts:
-        ag.mcav = compute_mcav(received)
+    """Count one context bit; set the MCAV, ones / received, once the last bit arrives."""
+    ag.received += 1
+    ag.ones += bit
+    if ag.received == ag.expected_contexts:
+        ag.mcav = ag.ones / ag.received
     return ag
 
 

@@ -288,7 +288,10 @@ def gen_config_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # bad arguments (2) or --help (0): return, never raise
+        return exc.code
     if args.command == "run":
         return run_command(args)
     return gen_config_command(args)

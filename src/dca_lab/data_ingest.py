@@ -93,6 +93,10 @@ class AttributePolicy:
     hi: float = 10.0
 
     def __post_init__(self):
+        if not isinstance(self.missing_value_policy, MissingValuePolicy):
+            raise TypeError(
+                f"missing_value_policy must be a MissingValuePolicy, got {self.missing_value_policy!r}"
+            )
         if not self.lo < self.hi:
             raise BadBoundsError(f"bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
 

@@ -41,10 +41,7 @@ from typing import IO, NamedTuple, Sequence
 
 from .agents import (
     AntigenAgent,
-    Category,
-    ContextOverflowError,
     DCAgent,
-    NotImmatureError,
     antigen_handle_context,
     classify_antigen,
     dc_decide_context,
@@ -236,11 +233,6 @@ class RunReport:
     seed: int
 
 
-#: The values field of a migrate or flush_migrate row, by context bit:
-#: ``dc_decide_context`` pairs bit 0 with semimature and bit 1 with mature.
-_VOTE = ("semimature;0", "mature;1")
-
-
 class TraceLog:
     """Optional CSV event trace: one ``tick,event_kind,ids,values`` row per event.
 
@@ -283,19 +275,18 @@ def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
 def _finalize_antigen(
     world: World, config: SimConfig, ag: AntigenAgent, trace: TraceLog | None
 ) -> None:
-    ag.predicted = classify_antigen(ag.mcav, config.anomalous_threshold)
+    predicted = classify_antigen(ag.mcav, config.anomalous_threshold)
     world.results.append(
         ClassificationResult(
             antigen_id=ag.antigen_id,
             mcav=ag.mcav,
-            predicted=ag.predicted,
+            predicted=predicted,
             actual=ag.true_label,
         )
     )
     del world.antigens_in_flight[ag.antigen_id]
     if trace is not None:
-        predicted = "anomalous" if ag.predicted is Category.ANOMALOUS else "normal"
-        trace.emit(f"{world.tick},finalize,{ag.antigen_id},{ag.mcav!r};{predicted}\r\n")
+        trace.emit(f"{world.tick},finalize,{ag.antigen_id},{ag.mcav!r};{predicted.value}\r\n")
 
 
 def _deliver_contexts(
@@ -305,15 +296,12 @@ def _deliver_contexts(
     in_flight = world.antigens_in_flight
     for antigen_id in dc.sampled:
         ag = in_flight.get(antigen_id)
-        if ag is None:
+        if ag is None:  # never owed a bit, or already got its last one
             raise EngineFaultError(
                 f"tick {world.tick}: DC {dc.dc_id} voted for antigen {antigen_id} "
                 "which is not in flight"
             )
-        try:
-            antigen_handle_context(ag, bit)
-        except ContextOverflowError as exc:
-            raise EngineFaultError(f"tick {world.tick}: {exc}") from exc
+        antigen_handle_context(ag, bit)
         world.contexts_delivered += 1
         if trace is not None:
             trace.emit(f"{world.tick},context,{dc.dc_id};{antigen_id},{bit}\r\n")
@@ -325,18 +313,17 @@ def _deliver_contexts(
 def _migrate(
     world: World, config: SimConfig, position: int, trace: TraceLog | None
 ) -> None:
-    """Decide and vote, then reset the DC in place as its immature replacement.
+    """Decide and vote, then reset the DC in place as its replacement.
 
     The replacement gets the next DC id, a fresh threshold, zeroed sums
-    and an empty ``sampled`` list; its state stays immature, because the
-    decided state lives only as long as the vote. The threshold is drawn
-    after the votes, keeping the rng draw order spawn-picks-then-
-    replacements within each tick.
+    and an empty ``sampled`` list. The threshold is drawn after the votes,
+    keeping the rng draw order spawn-picks-then-replacements within each
+    tick.
     """
     dc = world.dcs[position]
-    _, bit = dc_decide_context(dc)
+    name, bit = dc_decide_context(dc)
     if trace is not None:
-        trace.emit(f"{world.tick},migrate,{dc.dc_id},{_VOTE[bit]}\r\n")
+        trace.emit(f"{world.tick},migrate,{dc.dc_id},{name};{bit}\r\n")
     _deliver_contexts(world, config, dc, bit, trace)
     old_id = dc.dc_id
     t_min, t_max = config.threshold_range
@@ -365,14 +352,12 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
         k = config.dcs_per_antigen
         ag = AntigenAgent(
             antigen_id=record.antigen_id,
-            attributes=record.attributes,
             true_label=record.true_label,
             expected_contexts=k,
         )
         world.antigens_in_flight[ag.antigen_id] = ag
         if trace is not None:
-            label = "anomalous" if ag.true_label is Category.ANOMALOUS else "normal"
-            trace.emit(f"{world.tick},spawn,{ag.antigen_id},{label}\r\n")
+            trace.emit(f"{world.tick},spawn,{ag.antigen_id},{ag.true_label.value}\r\n")
 
         # The output triple depends only on the record and the config, so
         # it is computed once and added to each of the k picked DCs.
@@ -383,10 +368,7 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
         dcs = world.dcs
         for position in sample_dcs(range(len(dcs)), k, world.rng):
             dc = dcs[position]
-            try:
-                dc_handle_picked(dc, ag.antigen_id, out)
-            except NotImmatureError as exc:
-                raise EngineFaultError(f"tick {world.tick}: {exc}") from exc
+            dc_handle_picked(dc, ag.antigen_id, out)
             if trace is not None:
                 trace.emit(f"{world.tick},pick,{ag.antigen_id};{dc.dc_id},\r\n")
             if dc_should_migrate(dc):
@@ -405,10 +387,9 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
         raise EngineFaultError("flush called with records still pending")
     for dc in world.dcs:
         if dc.sampled:
-            state, bit = dc_decide_context(dc)
-            dc.state = state
+            name, bit = dc_decide_context(dc)
             if trace is not None:
-                trace.emit(f"{world.tick},flush_migrate,{dc.dc_id},{_VOTE[bit]}\r\n")
+                trace.emit(f"{world.tick},flush_migrate,{dc.dc_id},{name};{bit}\r\n")
             _deliver_contexts(world, config, dc, bit, trace)
         elif trace is not None:
             trace.emit(f"{world.tick},discard,{dc.dc_id},\r\n")

@@ -99,7 +99,10 @@ class WeightMatrix:
 
     def __post_init__(self):
         for name in ("pamp", "danger", "safe"):
-            row = tuple(float(v) for v in getattr(self, name))
+            row = tuple(getattr(self, name))
+            if any(type(v) not in (int, float) for v in row):
+                raise TypeError(f"{name} row must hold numbers, got {row!r}")
+            row = tuple(float(v) for v in row)
             object.__setattr__(self, name, row)
             if len(row) != 3:
                 raise ValueError(f"{name} row must have exactly 3 weights, got {len(row)}")
@@ -172,12 +175,3 @@ def process_signals(inputs: InputSignals, weights: WeightMatrix) -> OutputSignal
     semi = weights.pamp[1] * inputs.pamp + weights.danger[1] * inputs.danger + weights.safe[1] * inputs.safe
     mat = weights.pamp[2] * inputs.pamp + weights.danger[2] * inputs.danger + weights.safe[2] * inputs.safe
     return OutputSignals(csm=csm, semi=semi, mat=mat)
-
-
-def accumulate(cum: CumulativeSignals, out: OutputSignals) -> CumulativeSignals:
-    """Componentwise addition of one output triple onto the running totals."""
-    return CumulativeSignals(
-        cum_csm=cum.cum_csm + out.csm,
-        cum_semi=cum.cum_semi + out.semi,
-        cum_mat=cum.cum_mat + out.mat,
-    )

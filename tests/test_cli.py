@@ -17,16 +17,19 @@ from hypothesis import given, settings, strategies as st
 
 import dca_lab
 
+from dca_lab import cli
 from dca_lab.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_ENGINE,
     EXIT_IO,
     EXIT_OK,
+    EXIT_USAGE,
     config_from_dict,
     config_to_dict,
     main,
 )
-from dca_lab.engine import MAX_SIZE, MAX_WEIGHT, InvalidConfigError, SimConfig
+from dca_lab.engine import MAX_SIZE, MAX_WEIGHT, EngineFaultError, InvalidConfigError, SimConfig
 
 
 def write_dataset(path, rows=12, seed=1):
@@ -223,9 +226,7 @@ class TestRunCommand:
         assert main(["run", "--data", str(data), "--config", str(config_path)]) == EXIT_CONFIG
 
     def test_seed_flag_must_be_u64(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--data", "x", "--seed", "-1"])
-        assert exc.value.code == 2
+        assert main(["run", "--data", "x", "--seed", "-1"]) == EXIT_USAGE
 
     def test_env_var_sets_out_dir_and_flag_wins(self, tmp_path, monkeypatch):
         data = write_dataset(tmp_path / "d.data")
@@ -271,6 +272,32 @@ def assert_one_line_diagnostic(proc, exit_code, *fragments):
     assert len(lines) == 1 and lines[0].startswith("dca-lab: "), proc.stderr
     for fragment in fragments:
         assert fragment in lines[0]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [["run"], ["run", "--data", "x", "--seed", "abc"]])
+    def test_bad_arguments_return_2_in_process(self, argv):
+        assert main(argv) == EXIT_USAGE
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage: dca-lab" in capsys.readouterr().out
+
+    def test_bad_arguments_exit_2_without_traceback(self):
+        proc = run_cli_process("run")
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "--data" in proc.stderr
+
+    def test_engine_fault_exits_5_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def faulty_run(*args, **kwargs):
+            raise EngineFaultError("tick 3: DC 1 voted for antigen 2 which is not in flight")
+
+        monkeypatch.setattr(cli, "run", faulty_run)
+        data = write_dataset(tmp_path / "d.data")
+        assert main(["run", "--data", str(data), "--out", str(tmp_path / "out")]) == EXIT_ENGINE
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["dca-lab: engine fault: tick 3: DC 1 voted for antigen 2 which is not in flight"]
 
 
 VALID_MAPPING = {"pamp_sources": [0], "danger_sources": [1], "safe_sources": [2]}

@@ -146,6 +146,12 @@ class TestLoadDataset:
         # ids stay contiguous after the skip
         assert [r.antigen_id for r in records] == [0, 1]
 
+    @pytest.mark.parametrize("policy", ["skip_record", "impute_median", None])
+    def test_policy_that_is_not_the_enum_rejected(self, policy):
+        # A plain string once fell through to imputation, skipping no row.
+        with pytest.raises(TypeError, match="missing_value_policy"):
+            AttributePolicy(missing_value_policy=policy)
+
     def test_impute_median_lower_of_two(self):
         # Column 1 non-missing values are [1, 2, 4, 8]: median_low is 2.
         policy = AttributePolicy(missing_value_policy=MissingValuePolicy.IMPUTE_MEDIAN)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_records, oracle_kwargs, random_sim_setup, write_wbc_like_file
 from oracle import run_reference_dca
 
-from dca_lab.agents import AntigenAgent, Category, DCAgent, DCState
+from dca_lab.agents import AntigenAgent, Category, DCAgent
 from dca_lab.data_ingest import AntigenRecord, EmptyDatasetError, load_dataset
 from dca_lab.engine import (
     EngineFaultError,
@@ -105,7 +105,6 @@ class TestInitWorld:
         config = SimConfig(population_size=100, seed=5)
         world = init_world(config, make_records(rng, 3, 9))
         assert len(world.dcs) == 100
-        assert all(dc.state is DCState.IMMATURE for dc in world.dcs)
         t_min, t_max = config.threshold_range
         assert all(t_min <= dc.migration_threshold <= t_max for dc in world.dcs)
         assert world.tick == 0
@@ -190,7 +189,6 @@ class TestStep:
         replaced = [new for new, old in zip(ids_after, ids_before) if new != old]
         assert len(replaced) == 2
         assert all(new >= 4 for new in replaced)
-        assert all(dc.state is DCState.IMMATURE for dc in world.dcs)
         # Each migrated DC object is reset in place as its replacement.
         assert all(now is before for now, before in zip(world.dcs, objects))
         for dc in world.dcs:
@@ -198,32 +196,37 @@ class TestStep:
                 assert (dc.cum, dc.sampled) == (CumulativeSignals(), [])
 
 
+def flush_world(sampled_lists, in_flight_ids):
+    """A hand-built world at tick 5: one DC per sampled list, k=1 antigens in flight."""
+    dcs = []
+    for dc_id, sampled in enumerate(sampled_lists):
+        dc = DCAgent(dc_id=dc_id, migration_threshold=1000.0)
+        dc.cum = CumulativeSignals(cum_csm=50.0, cum_semi=10.0, cum_mat=5.0)
+        dc.sampled = list(sampled)
+        dcs.append(dc)
+    antigens = {
+        aid: AntigenAgent(antigen_id=aid, true_label=Category.NORMAL, expected_contexts=1)
+        for aid in in_flight_ids
+    }
+    return World(
+        tick=5,
+        pending=deque(),
+        dcs=dcs,
+        antigens_in_flight=antigens,
+        results=[],
+        rng=random.Random(0),
+        next_dc_id=len(dcs),
+    )
+
+
 class TestFlush:
     def test_semimature_flush_returns_zero_contexts(self):
-        dc = DCAgent(dc_id=0, migration_threshold=1000.0)
-        dc.cum = CumulativeSignals(cum_csm=50.0, cum_semi=10.0, cum_mat=5.0)
-        dc.sampled = [3, 7]
-        antigens = {
-            aid: AntigenAgent(
-                antigen_id=aid,
-                attributes=(0.5,),
-                true_label=Category.NORMAL,
-                expected_contexts=1,
-            )
-            for aid in (3, 7)
-        }
-        world = World(
-            tick=5,
-            pending=deque(),
-            dcs=[dc],
-            antigens_in_flight=dict(antigens),
-            results=[],
-            rng=random.Random(0),
-            next_dc_id=1,
-        )
+        world = flush_world([[3, 7]], [3, 7])
         config = SimConfig(population_size=1, dcs_per_antigen=1)
-        flush(world, config)
-        assert dc.state is DCState.SEMIMATURE
+        buffer = io.StringIO()
+        flush(world, config, TraceLog(buffer))
+        rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+        assert [r["values"] for r in rows if r["event_kind"] == "flush_migrate"] == ["semimature;0"]
         assert {r.antigen_id: r.mcav for r in world.results} == {3: 0.0, 7: 0.0}
         assert all(r.predicted is Category.NORMAL for r in world.results)
         assert not world.antigens_in_flight
@@ -241,6 +244,19 @@ class TestFlush:
         flush(world, SimConfig(population_size=1, dcs_per_antigen=1))
         assert world.dcs == []
         assert world.contexts_delivered == 0
+
+    def test_bit_for_an_antigen_not_in_flight_is_engine_fault(self):
+        world = flush_world([[3, 8]], [3])
+        with pytest.raises(EngineFaultError, match="antigen 8 which is not in flight"):
+            flush(world, SimConfig(population_size=1, dcs_per_antigen=1))
+
+    def test_second_bit_for_a_k1_antigen_is_engine_fault(self):
+        # Two DCs both sampled antigen 3, which is owed one bit: the first
+        # bit finalizes it, so the second finds it no longer in flight.
+        world = flush_world([[3], [3]], [3])
+        with pytest.raises(EngineFaultError, match="DC 1 voted for antigen 3 which is not in flight"):
+            flush(world, SimConfig(population_size=2, dcs_per_antigen=1))
+        assert [r.antigen_id for r in world.results] == [3]
 
     def test_flush_with_pending_is_engine_fault(self):
         rng = random.Random(4)

@@ -1,4 +1,4 @@
-"""Signal derivation, weighted-sum processing and accumulation."""
+"""Signal derivation and weighted-sum processing."""
 
 import math
 
@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 
 from dca_lab.signal_model import (
     DEFAULT_WEIGHT_MATRIX,
-    CumulativeSignals,
     EmptySourceListError,
     IndexOutOfBoundsError,
     InputSignals,
     OutputSignals,
     SignalMapping,
     WeightMatrix,
-    accumulate,
     default_signal_mapping,
     derive_input_signals,
     process_signals,
@@ -100,6 +98,11 @@ class TestWeightMatrix:
     def test_negative_semi_and_mat_allowed(self):
         WeightMatrix(pamp=(0, -1, -1), danger=(0, -2, 3), safe=(0, 3, -3))
 
+    @pytest.mark.parametrize("weight", ["5", True, None, [1.0]])
+    def test_weight_that_is_not_a_number_rejected(self, weight):
+        with pytest.raises(TypeError):
+            WeightMatrix(pamp=(weight, 0, 2), danger=(1, 0, 1), safe=(2, 3, -3))
+
 
 class TestProcessSignals:
     def test_zero_input_zero_output(self):
@@ -139,51 +142,3 @@ class TestProcessSignals:
     def test_default_matrix_keeps_csm_nonnegative(self, inputs):
         assert process_signals(InputSignals(*inputs), DEFAULT_WEIGHT_MATRIX).csm >= 0.0
 
-
-class TestAccumulate:
-    def test_additive_identity(self):
-        cum = accumulate(CumulativeSignals(), OutputSignals(2, 0, 2))
-        assert (cum.cum_csm, cum.cum_semi, cum.cum_mat) == (2.0, 0.0, 2.0)
-
-    def test_componentwise_addition(self):
-        cum = accumulate(CumulativeSignals(2, 0, 2), OutputSignals(2, 3, -3))
-        assert (cum.cum_csm, cum.cum_semi, cum.cum_mat) == (4.0, 3.0, -1.0)
-
-    def test_zero_element(self):
-        cum = CumulativeSignals(1.5, -2.5, 3.5)
-        assert accumulate(cum, OutputSignals(0, 0, 0)) == cum
-
-    @given(
-        st.lists(
-            st.tuples(signal_floats, signal_floats, signal_floats),
-            min_size=0,
-            max_size=20,
-        ),
-        st.randoms(use_true_random=False),
-    )
-    def test_fold_matches_componentwise_sum_any_order(self, triples, rng):
-        outs = [OutputSignals(*t) for t in triples]
-        folded = CumulativeSignals()
-        for out in outs:
-            folded = accumulate(folded, out)
-
-        total = OutputSignals(
-            sum(o.csm for o in outs), sum(o.semi for o in outs), sum(o.mat for o in outs)
-        )
-        direct = accumulate(CumulativeSignals(), total)
-
-        shuffled = list(outs)
-        rng.shuffle(shuffled)
-        refolded = CumulativeSignals()
-        for out in shuffled:
-            refolded = accumulate(refolded, out)
-
-        for a, b in (
-            (folded.cum_csm, direct.cum_csm),
-            (folded.cum_semi, direct.cum_semi),
-            (folded.cum_mat, direct.cum_mat),
-            (folded.cum_csm, refolded.cum_csm),
-            (folded.cum_semi, refolded.cum_semi),
-            (folded.cum_mat, refolded.cum_mat),
-        ):
-            assert abs(a - b) <= 1e-9
