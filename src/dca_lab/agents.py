@@ -77,13 +77,22 @@ class AntigenAgent:
     mcav: float | None = None
 
 
+def below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``'s value and state, from ``getrandbits``, which Python keeps stable."""
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
 def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> list[int]:
     """Draw a uniform k-subset of ``population_ids``, in selection order.
 
     A partial Fisher-Yates shuffle that keeps only the swapped slots in a
     dict, so a draw costs O(k) whatever the population size: exactly k
-    ``rng.randrange`` calls, in the same order and with the same picks as
-    the dense shuffle, and only the k picked entries of
+    ``below`` calls, in the same order and with the same picks as the
+    dense shuffle, and only the k picked entries of
     ``population_ids`` are read. Replaying the same generator state
     reproduces the same picks.
     """
@@ -96,7 +105,7 @@ def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> lis
     swapped: dict[int, int] = {}
     picked = []
     for i in range(k):
-        j = i + rng.randrange(n - i)
+        j = i + below(rng, n - i)
         picked.append(swapped.get(j, j))
         swapped[j] = swapped.pop(i, i)
     return [population_ids[p] for p in picked]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -27,18 +26,8 @@ from pathlib import Path
 
 from .analysis import ClassificationResult, MCAVHistogram
 from .data_ingest import DatasetError, DatasetSummary, load_dataset
-from .engine import (
-    CONFIG_FIELDS,
-    MAX_SEED,
-    EngineFaultError,
-    Field,
-    InvalidConfigError,
-    RunReport,
-    SimConfig,
-    TraceLog,
-    expected_text,
-    run,
-)
+from .engine import CONFIG_FIELDS, MAX_SEED, EngineFaultError, RunReport, SimConfig, TraceLog, run
+from .schema import Field, InvalidConfigError, brief, expected_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,24 +54,12 @@ def config_to_dict(config, fields: dict[str, Field] = CONFIG_FIELDS) -> dict:
 
 
 def _from_json(value, f: Field, path: str):
-    """Check one JSON value's kind and shape against its row, and convert it."""
-    if f.fields is not None:
+    """The JSON value as its constructor takes it: a component for an object, a member for an enum's string."""
+    if f.fields is not None and isinstance(value, dict):
         return config_from_dict(value, f.kind, f.fields, path)
-    if f.length is not None:
-        if not isinstance(value, list) or f.length is not ... and len(value) != f.length:
-            raise InvalidConfigError(f"{path} must be {expected_text(f)}, got {value!r}")
-        item = f._replace(length=None)
-        return tuple(_from_json(v, item, f"{path}[{i}]") for i, v in enumerate(value))
-    if f.kind is float and type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:  # an integer past the float range: out of every bound
-            return math.inf
-    if type(value) is f.kind:  # exact: a JSON true is never an integer
-        return value
     if issubclass(f.kind, Enum) and value in [m.value for m in f.kind]:
         return f.kind(value)
-    raise InvalidConfigError(f"{path} must be {expected_text(f)}, got {value!r}")
+    return value
 
 
 def config_from_dict(data, cls: type = SimConfig, fields: dict[str, Field] = CONFIG_FIELDS, path: str = ""):
@@ -92,10 +69,10 @@ def config_from_dict(data, cls: type = SimConfig, fields: dict[str, Field] = CON
     floats, flags are true or false. Nothing is coerced. Keys starting
     with ``_`` are ignored at every depth; any other unknown key, and a
     missing key that has no default, is an error that names its dotted
-    path. The bounds are checked once, by constructing the SimConfig.
+    path. The constructor of each class checks its values; this adds the path.
     """
     if not isinstance(data, dict):
-        raise InvalidConfigError(f"{path or 'config'} must be an object, got {data!r}")
+        raise InvalidConfigError(f"config must be an object, got {brief(data)}")
     prefix = f"{path}." if path else ""
     unknown = sorted(prefix + k for k in data if k not in fields and not k.startswith("_"))
     if unknown:
@@ -107,10 +84,8 @@ def config_from_dict(data, cls: type = SimConfig, fields: dict[str, Field] = CON
             raise InvalidConfigError(f"{prefix}{d.name} is missing: expected {expected_text(fields[d.name])}")
     try:
         return cls(**kwargs)
-    except InvalidConfigError:
-        raise
-    except (IndexError, ValueError) as exc:  # a component's own invariant
-        raise InvalidConfigError(f"{path}: {exc}") from exc
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(prefix + str(exc)) from None
 
 
 def load_config(path: Path) -> SimConfig:
@@ -183,13 +158,12 @@ def report_json_text(report: RunReport, summary: DatasetSummary) -> str:
 
 
 def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed {text!r} is not an integer") from None
-    if not 0 <= seed <= MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
+    """A seed as ASCII decimal digits only: no sign, space, underscore or other script's digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be decimal digits 0-9, got {text!r}")
+    if len(text.lstrip("0")) > len(str(MAX_SEED)) or int(text) > MAX_SEED:  # no int() of 5000 digits
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {brief(text)}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

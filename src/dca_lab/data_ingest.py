@@ -9,6 +9,7 @@ over [1, 10] and whose class codes are 2 (Normal) and 4 (Anomalous).
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .agents import Category
+from .schema import Field, InvalidConfigError, check
 
 ATTRIBUTE_COUNT = 9
 FIELD_COUNT = 11
@@ -80,6 +82,11 @@ class AntigenRecord:
     true_label: Category
 
 
+_FINITE = Field(float, -sys.float_info.max, sys.float_info.max)
+#: ``AttributePolicy``'s config rows.
+POLICY_FIELDS = {"missing_value_policy": Field(MissingValuePolicy), "lo": _FINITE, "hi": _FINITE}
+
+
 @dataclass(frozen=True)
 class AttributePolicy:
     """How to treat missing values, and the fixed min-max bounds.
@@ -93,12 +100,9 @@ class AttributePolicy:
     hi: float = 10.0
 
     def __post_init__(self):
-        if not isinstance(self.missing_value_policy, MissingValuePolicy):
-            raise TypeError(
-                f"missing_value_policy must be a MissingValuePolicy, got {self.missing_value_policy!r}"
-            )
+        check(self, POLICY_FIELDS)
         if not self.lo < self.hi:
-            raise BadBoundsError(f"bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+            raise InvalidConfigError(f"lo must be below hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass

@@ -23,10 +23,12 @@ by wrapping those names.
 Randomness comes from a single ``random.Random`` (Mersenne Twister)
 stream seeded from the config, with a fixed draw order: the N initial
 migration thresholds in DC-index order at world creation, then per tick
-the k subset draws for the spawned antigen (one ``randrange`` each)
-followed by one ``uniform`` replacement threshold per migration, in
-migration order. Identical (config, records) therefore give identical
-runs, including every rng-dependent field.
+the k subset draws for the spawned antigen (one ``agents.below`` each)
+followed by one replacement threshold per migration, in migration order.
+A threshold is ``t_min + (t_max - t_min) * rng.random()``, today's
+``uniform``: both draws use only the generator output that Python keeps
+stable across versions. Identical (config, records) therefore give
+identical runs, including every rng-dependent field.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ import random
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from types import EllipsisType
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Sequence
 
 from .agents import (
     AntigenAgent,
@@ -57,9 +58,13 @@ from .analysis import (
     build_histogram,
     compute_metrics,
 )
-from .data_ingest import AntigenRecord, AttributePolicy, EmptyDatasetError, MissingValuePolicy
+from .data_ingest import POLICY_FIELDS, AntigenRecord, AttributePolicy, EmptyDatasetError
+from .schema import Field, InvalidConfigError, check
 from .signal_model import (
     DEFAULT_WEIGHT_MATRIX,
+    MAPPING_FIELDS,
+    MAX_WEIGHT,  # noqa: F401  (importable from here, beside MAX_SIZE)
+    WEIGHT_FIELDS,
     SignalMapping,
     WeightMatrix,
     default_signal_mapping,
@@ -71,15 +76,6 @@ MAX_SEED = 2**64 - 1
 #: Largest population_size and histogram_bins: larger values are rejected
 #: before anything is allocated.
 MAX_SIZE = 10**6
-#: Largest |weight|. A pick adds at most 300 * MAX_WEIGHT to a DC's sums,
-#: so no run over a record count that fits in memory can reach the float
-#: maximum (about 1.8e308) and turn a sum into inf or nan.
-MAX_WEIGHT = 1e100
-_FLOAT_MAX = sys.float_info.max
-
-
-class InvalidConfigError(ValueError):
-    """A SimConfig invariant is violated."""
 
 
 class EngineFaultError(RuntimeError):
@@ -90,83 +86,22 @@ class UnflushableError(EngineFaultError):
     """An antigen still lacks contexts after flush."""
 
 
-class Field(NamedTuple):
-    """One config field: its JSON kind, inclusive bounds and ``gen-config`` note.
-
-    ``kind`` is int, float, bool, an Enum, or the component class that the
-    sub-table ``fields`` builds. With ``length`` the field is an array of
-    that many values (``...``: any number). Defaults come from the classes.
-    """
-
-    kind: type
-    lo: float | None = None
-    hi: float | None = None
-    length: int | EllipsisType | None = None
-    fields: dict[str, Field] | None = None
-    note: str | None = None
-
-
-_WEIGHTS = Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)
-_SOURCES = Field(int, length=...)
-_FINITE = Field(float, -_FLOAT_MAX, _FLOAT_MAX)
-_WEIGHT_FIELDS = {"pamp": _WEIGHTS, "danger": _WEIGHTS, "safe": _WEIGHTS}
-_MAPPING_FIELDS = {"pamp_sources": _SOURCES, "danger_sources": _SOURCES, "safe_sources": _SOURCES, "safe_is_complement": Field(bool)}
-_POLICY_FIELDS = {"missing_value_policy": Field(MissingValuePolicy), "lo": _FINITE, "hi": _FINITE}
-
 #: The config schema: one row per field, in ``SimConfig`` field order.
-#: ``SimConfig.validate`` checks each value's kind, array length and
-#: bounds against it; the CLI's JSON reader and writer and ``gen-config``
-#: walk it. Thresholds must be > 0, so their lower bound is the smallest
-#: positive float.
+#: ``SimConfig`` checks its own values against it, and each component
+#: against its sub-table; the CLI's JSON reader and writer and
+#: ``gen-config`` walk it. Thresholds must be > 0, so their lower bound is
+#: the smallest positive float.
 CONFIG_FIELDS: dict[str, Field] = {
     "population_size": Field(int, 1, MAX_SIZE, note="number of DC agents alive at any instant (constant)"),
     "dcs_per_antigen": Field(int, 1, MAX_SIZE, note="distinct DCs each antigen is presented to (its vote count)"),
-    "threshold_range": Field(float, math.ulp(0.0), _FLOAT_MAX, length=2, note="[t_min, t_max] for the per-DC migration threshold, drawn uniformly"),
-    "weight_matrix": Field(WeightMatrix, fields=_WEIGHT_FIELDS, note="per input signal: weights onto (csm, semi, mat); shipped values are a documented default, not a fitted result; the csm column must be nonnegative"),
-    "signal_mapping": Field(SignalMapping, fields=_MAPPING_FIELDS, note="attribute indices feeding each input signal; safe_is_complement inverts the safe source mean"),
+    "threshold_range": Field(float, math.ulp(0.0), sys.float_info.max, length=2, note="[t_min, t_max] for the per-DC migration threshold, drawn uniformly"),
+    "weight_matrix": Field(WeightMatrix, fields=WEIGHT_FIELDS, note="per input signal: weights onto (csm, semi, mat); shipped values are a documented default, not a fitted result; the csm column must be nonnegative"),
+    "signal_mapping": Field(SignalMapping, fields=MAPPING_FIELDS, note="attribute indices feeding each input signal; safe_is_complement inverts the safe source mean"),
     "anomalous_threshold": Field(float, 0.0, 1.0, note="MCAV cutoff; an antigen is anomalous iff its MCAV strictly exceeds it"),
     "histogram_bins": Field(int, 1, MAX_SIZE, note="equal-width MCAV histogram bins over [0, 1]"),
-    "attribute_policy": Field(AttributePolicy, fields=_POLICY_FIELDS, note="missing_value_policy is skip_record or impute_median; lo/hi are the fixed min-max normalization bounds"),
+    "attribute_policy": Field(AttributePolicy, fields=POLICY_FIELDS, note="missing_value_policy is skip_record or impute_median; lo/hi are the fixed min-max normalization bounds"),
     "seed": Field(int, 0, MAX_SEED, note="64-bit unsigned rng seed; identical seed + inputs reproduce a run exactly"),
 }
-
-
-_KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false"}
-
-
-def expected_text(f: Field) -> str:
-    """What a field's value must be, in the words of its JSON document."""
-    if f.fields is not None:
-        return "an object"
-    one = _KIND_TEXT.get(f.kind) or "one of " + ", ".join(repr(m.value) for m in f.kind)
-    if f.length is None:
-        return one
-    count = "" if f.length is ... else f"{f.length} "
-    return f"an array of {count}values, each {one}"
-
-
-def _has_kind(value, kind: type) -> bool:
-    """Whether a Python value fits a field's kind: a bool is only a flag, an int is also a number."""
-    if isinstance(value, bool) or kind is bool:
-        return type(value) is kind
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _check_bounds(obj, fields: dict[str, Field], prefix: str = "") -> None:
-    """Check each value's kind, array length and bounds against its row."""
-    for name, f in fields.items():
-        value, path = getattr(obj, name), prefix + name
-        items = (value,) if f.length is None else value
-        shaped = f.length is None or isinstance(value, tuple) and f.length in (..., len(value))
-        if not shaped or not all(_has_kind(v, f.kind) for v in items):
-            expected = expected_text(f) if f.kind in _KIND_TEXT else f"a {f.kind.__name__}"
-            raise InvalidConfigError(f"{path} must be {expected}, got {value!r}")
-        if f.fields is not None:
-            _check_bounds(value, f.fields, f"{path}.")
-        elif f.lo is not None:
-            for v in items:
-                if not f.lo <= v <= f.hi:
-                    raise InvalidConfigError(f"{path} must be in [{f.lo}, {f.hi}], got {v}")
 
 
 @dataclass(frozen=True)
@@ -187,23 +122,19 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.threshold_range, list):
-            object.__setattr__(self, "threshold_range", tuple(self.threshold_range))
         self.validate()
 
     def validate(self) -> None:
-        """Check every bound in CONFIG_FIELDS, then the two cross-field rules."""
-        _check_bounds(self, CONFIG_FIELDS)
+        """Check this config's own rows, then its two cross-field rules.
+
+        A component row checks only the kind: components check themselves.
+        """
+        check(self, CONFIG_FIELDS)
         if self.dcs_per_antigen > self.population_size:
-            raise InvalidConfigError(
-                f"dcs_per_antigen must be in [1, population_size={self.population_size}], "
-                f"got {self.dcs_per_antigen}"
-            )
+            raise InvalidConfigError(f"dcs_per_antigen must be in [1, population_size={self.population_size}], got {self.dcs_per_antigen}")
         t_min, t_max = self.threshold_range
         if t_min > t_max:
-            raise InvalidConfigError(
-                f"threshold_range must satisfy t_min <= t_max, got [{t_min}, {t_max}]"
-            )
+            raise InvalidConfigError(f"threshold_range must satisfy t_min <= t_max, got [{t_min}, {t_max}]")
 
 
 @dataclass
@@ -258,7 +189,7 @@ def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
     t_min, t_max = config.threshold_range
     rng = random.Random(config.seed)
     dcs = [
-        DCAgent(dc_id=i, migration_threshold=rng.uniform(t_min, t_max))
+        DCAgent(dc_id=i, migration_threshold=t_min + (t_max - t_min) * rng.random())
         for i in range(config.population_size)
     ]
     return World(
@@ -328,7 +259,7 @@ def _migrate(
     old_id = dc.dc_id
     t_min, t_max = config.threshold_range
     dc.dc_id = world.next_dc_id
-    dc.migration_threshold = world.rng.uniform(t_min, t_max)
+    dc.migration_threshold = t_min + (t_max - t_min) * world.rng.random()
     dc.cum_csm = dc.cum_semi = dc.cum_mat = 0.0
     dc.sampled = []
     world.next_dc_id += 1
@@ -403,9 +334,7 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
 
 def _check_mapping_fits(config: SimConfig, records: Sequence[AntigenRecord]) -> None:
     mapping = config.signal_mapping
-    max_index = max(
-        max(mapping.pamp_sources), max(mapping.danger_sources), max(mapping.safe_sources)
-    )
+    max_index = max(mapping.pamp_sources + mapping.danger_sources + mapping.safe_sources)
     shortest = min(len(r.attributes) for r in records)
     if max_index >= shortest:
         raise InvalidConfigError(

@@ -12,17 +12,18 @@ straight-line reference implementation used in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
+
+from .schema import Field, InvalidConfigError, check
 
 #: Input signals live on [0, SIGNAL_SCALE]. The scale is arbitrary; it only
 #: gives migration thresholds an intuitive magnitude.
 SIGNAL_SCALE = 100.0
-
-
-class EmptySourceListError(ValueError):
-    """A signal mapping declares no attribute indices for one of its sources."""
+#: Largest |weight|. A pick adds at most 300 * MAX_WEIGHT to a DC's sums,
+#: so no run over a record count that fits in memory can reach the float
+#: maximum (about 1.8e308) and turn a sum into inf or nan.
+MAX_WEIGHT = 1e100
 
 
 class IndexOutOfBoundsError(IndexError):
@@ -56,6 +57,11 @@ class CumulativeSignals:
     cum_mat: float = 0.0
 
 
+_SOURCES = Field(int, length=...)
+#: ``SignalMapping``'s config rows.
+MAPPING_FIELDS = {"pamp_sources": _SOURCES, "danger_sources": _SOURCES, "safe_sources": _SOURCES, "safe_is_complement": Field(bool)}
+
+
 @dataclass(frozen=True)
 class SignalMapping:
     """Which attribute indices feed each input signal.
@@ -71,18 +77,18 @@ class SignalMapping:
     safe_is_complement: bool = True
 
     def __post_init__(self):
+        check(self, MAPPING_FIELDS)
         for name in ("pamp_sources", "danger_sources", "safe_sources"):
-            sources = tuple(getattr(self, name))
-            object.__setattr__(self, name, sources)
+            sources = getattr(self, name)
             if not sources:
-                raise EmptySourceListError(f"{name} must list at least one attribute index")
-            for idx in sources:
-                if not isinstance(idx, int) or isinstance(idx, bool):
-                    raise TypeError(
-                        f"{name} must hold integer attribute indices, got {idx!r}"
-                    )
-                if idx < 0:
-                    raise IndexOutOfBoundsError(f"{name} contains negative index {idx}")
+                raise InvalidConfigError(f"{name} must list at least one attribute index")
+            if min(sources) < 0:
+                raise InvalidConfigError(f"{name} contains negative index {min(sources)}")
+
+
+_WEIGHTS = Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)
+#: ``WeightMatrix``'s config rows.
+WEIGHT_FIELDS = {"pamp": _WEIGHTS, "danger": _WEIGHTS, "safe": _WEIGHTS}
 
 
 @dataclass(frozen=True)
@@ -98,20 +104,11 @@ class WeightMatrix:
     safe: tuple[float, float, float]
 
     def __post_init__(self):
-        for name in ("pamp", "danger", "safe"):
-            row = tuple(getattr(self, name))
-            if any(type(v) not in (int, float) for v in row):
-                raise TypeError(f"{name} row must hold numbers, got {row!r}")
-            row = tuple(float(v) for v in row)
-            object.__setattr__(self, name, row)
-            if len(row) != 3:
-                raise ValueError(f"{name} row must have exactly 3 weights, got {len(row)}")
-            if any(not math.isfinite(v) for v in row):
-                raise ValueError(f"{name} row contains a non-finite weight: {row}")
-            if row[0] < 0.0:
-                raise ValueError(
-                    f"csm weight for {name} must be nonnegative, got {row[0]}"
-                )
+        check(self, WEIGHT_FIELDS)
+        for name in WEIGHT_FIELDS:
+            csm = getattr(self, name)[0]
+            if csm < 0.0:
+                raise InvalidConfigError(f"{name}[0], the csm weight, must be nonnegative, got {csm}")
 
 
 #: Shipped default weights. These are a documented default, not a fitted

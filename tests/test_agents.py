@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dca_lab.agents import (
     AntigenAgent,
@@ -13,6 +13,7 @@ from dca_lab.agents import (
     EmptyContextsError,
     SampleTooLargeError,
     antigen_handle_context,
+    below,
     classify_antigen,
     compute_mcav,
     dc_decide_context,
@@ -57,6 +58,27 @@ def fresh_antigen(k=4, aid=0) -> AntigenAgent:
         true_label=Category.NORMAL,
         expected_contexts=k,
     )
+
+
+class TestOwnedDraws:
+    """The run's two draws, written out, against ``randrange`` and ``uniform`` on this interpreter."""
+
+    @given(st.integers(1, 2**70) | st.integers(0, 70).map(lambda e: 2**e),
+           st.integers(0, 2**64 - 1), st.integers(1, 30))
+    @example(n=1, seed=0, draws=3)
+    @example(n=2**31 + 5, seed=1, draws=3)
+    def test_below_matches_randrange(self, n, seed, draws):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [below(ours, n) for _ in range(draws)] == [theirs.randrange(n) for _ in range(draws)]
+        assert ours.getstate() == theirs.getstate()
+
+    @given(st.floats(5e-324, 1e150), st.floats(1.0, 1e8), st.integers(0, 2**64 - 1))
+    def test_threshold_draw_matches_uniform(self, t_min, scale, seed):
+        t_max = t_min * scale
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = [t_min + (t_max - t_min) * ours.random() for _ in range(5)]
+        assert drawn == [theirs.uniform(t_min, t_max) for _ in range(5)]
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestSampleDcs:

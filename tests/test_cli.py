@@ -225,8 +225,11 @@ class TestRunCommand:
         config_path.write_text("{not json")
         assert main(["run", "--data", str(data), "--config", str(config_path)]) == EXIT_CONFIG
 
-    def test_seed_flag_must_be_u64(self):
-        assert main(["run", "--data", "x", "--seed", "-1"]) == EXIT_USAGE
+    def test_seed_flag_must_be_u64(self, capsys):
+        # Only ASCII decimal digits: int() would also read 1_0, " 7", +7 and the Arabic-Indic 7.
+        for seed in ["-1", str(2**64), "1_0", " 7", "7 ", "+7", "\u0667", "0x7", "", "1" * 5000]:
+            assert main(["run", "--data", "x", "--seed", seed]) == EXIT_USAGE, seed
+            assert len(capsys.readouterr().err.splitlines()[-1]) < 200  # a long seed is echoed short
 
     def test_env_var_sets_out_dir_and_flag_wins(self, tmp_path, monkeypatch):
         data = write_dataset(tmp_path / "d.data")

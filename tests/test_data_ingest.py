@@ -22,6 +22,7 @@ from dca_lab.data_ingest import (
     normalize_attribute,
     parse_record,
 )
+from dca_lab.schema import InvalidConfigError
 
 # First row of the UCI distribution, and its first row carrying a missing marker.
 FIRST_UCI_ROW = "1000025,5,1,1,1,2,1,3,1,1,2"
@@ -149,7 +150,7 @@ class TestLoadDataset:
     @pytest.mark.parametrize("policy", ["skip_record", "impute_median", None])
     def test_policy_that_is_not_the_enum_rejected(self, policy):
         # A plain string once fell through to imputation, skipping no row.
-        with pytest.raises(TypeError, match="missing_value_policy"):
+        with pytest.raises(InvalidConfigError, match="missing_value_policy must be one of"):
             AttributePolicy(missing_value_policy=policy)
 
     def test_impute_median_lower_of_two(self):

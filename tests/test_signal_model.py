@@ -5,9 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from dca_lab.schema import InvalidConfigError
 from dca_lab.signal_model import (
     DEFAULT_WEIGHT_MATRIX,
-    EmptySourceListError,
     IndexOutOfBoundsError,
     InputSignals,
     OutputSignals,
@@ -45,7 +45,7 @@ class TestDeriveInputSignals:
         assert derive_input_signals([0.25], mapping).safe == 25.0
 
     def test_empty_source_list_rejected(self):
-        with pytest.raises(EmptySourceListError):
+        with pytest.raises(InvalidConfigError, match="pamp_sources must list at least one"):
             SignalMapping((), (0,), (0,))
 
     def test_index_out_of_bounds(self):
@@ -60,13 +60,13 @@ class TestDeriveInputSignals:
         assert str(excinfo.value) == "source index 7 out of bounds for 2 attributes"
 
     def test_negative_index_rejected(self):
-        with pytest.raises(IndexOutOfBoundsError):
+        with pytest.raises(InvalidConfigError, match="danger_sources contains negative index -1"):
             SignalMapping((0,), (-1,), (0,))
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "0", None])
     def test_non_integer_index_rejected(self, bad):
         for sources in [((bad,), (0,), (0,)), ((0,), (bad,), (0,)), ((0,), (0,), (0, bad))]:
-            with pytest.raises(TypeError, match="integer attribute indices"):
+            with pytest.raises(InvalidConfigError, match="must be an array of values, each an integer"):
                 SignalMapping(*sources)
 
     @given(st.lists(attr_floats, min_size=1, max_size=9), st.booleans())
@@ -100,7 +100,7 @@ class TestWeightMatrix:
 
     @pytest.mark.parametrize("weight", ["5", True, None, [1.0]])
     def test_weight_that_is_not_a_number_rejected(self, weight):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidConfigError, match="pamp must be an array of 3 values, each a number"):
             WeightMatrix(pamp=(weight, 0, 2), danger=(1, 0, 1), safe=(2, 3, -3))
 
 
