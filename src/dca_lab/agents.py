@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .signal_model import CumulativeSignals, OutputSignals
+from .signal_model import CumulativeSignals
 
 
 class Category(Enum):
@@ -86,17 +86,15 @@ def below(rng: random.Random, n: int) -> int:
     return r
 
 
-def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> list[int]:
-    """Draw a uniform k-subset of ``population_ids``, in selection order.
+def sample_dcs(n: int, k: int, rng: random.Random) -> list[int]:
+    """Draw a uniform k-subset of the positions ``range(n)``, in selection order.
 
     A partial Fisher-Yates shuffle that keeps only the swapped slots in a
     dict, so a draw costs O(k) whatever the population size: exactly k
     ``below`` calls, in the same order and with the same picks as the
-    dense shuffle, and only the k picked entries of
-    ``population_ids`` are read. Replaying the same generator state
-    reproduces the same picks.
+    dense shuffle of ``list(range(n))``. Replaying the same generator
+    state reproduces the same picks.
     """
-    n = len(population_ids)
     if k < 0:
         raise ValueError(f"sample size must be nonnegative, got {k}")
     if k > n:
@@ -108,19 +106,20 @@ def sample_dcs(population_ids: Sequence[int], k: int, rng: random.Random) -> lis
         j = i + below(rng, n - i)
         picked.append(swapped.get(j, j))
         swapped[j] = swapped.pop(i, i)
-    return [population_ids[p] for p in picked]
+    return picked
 
 
-def dc_handle_picked(dc: DCAgent, antigen_id: int, out: OutputSignals) -> DCAgent:
-    """Process one pick: record the antigen and add its output signals in place.
+def dc_handle_picked(dc: DCAgent, antigen_id: int, out: tuple[float, float, float]) -> DCAgent:
+    """Process one pick: record the antigen and add its (csm, semi, mat) in place.
 
     Each of the three sums gets one addition per pick, in pick order, so
     a sum is a left-to-right fold over the DC's picks.
     """
+    csm, semi, mat = out
     dc.sampled.append(antigen_id)
-    dc.cum_csm += out.csm
-    dc.cum_semi += out.semi
-    dc.cum_mat += out.mat
+    dc.cum_csm += csm
+    dc.cum_semi += semi
+    dc.cum_mat += mat
     return dc
 
 

@@ -21,8 +21,10 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
+from typing import IO, Iterator
 
 from .analysis import ClassificationResult, MCAVHistogram
 from .data_ingest import DatasetError, DatasetSummary, load_dataset
@@ -100,12 +102,14 @@ def load_config(path: Path) -> SimConfig:
     return config_from_dict(data)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_stream(path: Path) -> Iterator[IO[str]]:
+    """A text stream to a temp file, renamed onto ``path`` if the block ends without error, else deleted."""
     # Temp file in the target directory so the rename stays on one filesystem.
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -113,6 +117,11 @@ def _atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_stream(path) as handle:
+        handle.write(text)
 
 
 def write_default_config(path: Path) -> None:
@@ -213,14 +222,10 @@ def run_command(args: argparse.Namespace) -> int:
         print(f"dca-lab: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    trace_tmp = None
     try:
         if args.trace:
-            fd, trace_tmp = tempfile.mkstemp(dir=out_dir, prefix=".trace.", suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as trace_stream:
+            with _atomic_stream(out_dir / "trace.csv") as trace_stream:
                 report = run(config, records, trace=TraceLog(trace_stream))
-            os.replace(trace_tmp, out_dir / "trace.csv")
-            trace_tmp = None
         else:
             report = run(config, records)
     except InvalidConfigError as exc:
@@ -232,12 +237,6 @@ def run_command(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"dca-lab: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        if trace_tmp is not None:
-            try:
-                os.unlink(trace_tmp)
-            except OSError:
-                pass
 
     try:
         _atomic_write_text(out_dir / "results.csv", results_csv_text(report.results))
@@ -252,8 +251,7 @@ def run_command(args: argparse.Namespace) -> int:
 def gen_config_command(args: argparse.Namespace) -> int:
     path = Path(args.out)
     try:
-        if path.parent:
-            path.parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         write_default_config(path)
     except OSError as exc:
         print(f"dca-lab: cannot write config to {path}: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ over [1, 10] and whose class codes are 2 (Normal) and 4 (Anomalous).
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -52,7 +53,7 @@ class OutOfRangeError(DatasetError):
 
 
 class BadBoundsError(ValueError):
-    """Normalization bounds do not satisfy lo < hi."""
+    """Normalization bounds do not satisfy lo < hi with a finite hi - lo."""
 
 
 class MissingValuePolicy(Enum):
@@ -92,7 +93,9 @@ class AttributePolicy:
     """How to treat missing values, and the fixed min-max bounds.
 
     Bounds default to the dataset's documented [1, 10] attribute range so
-    classification does not depend on record order or subset.
+    classification does not depend on record order or subset. Both bounds
+    are finite, and so must be their span: with ``hi - lo`` overflowing to
+    inf, every attribute would normalize to 0.0.
     """
 
     missing_value_policy: MissingValuePolicy = MissingValuePolicy.SKIP_RECORD
@@ -101,8 +104,8 @@ class AttributePolicy:
 
     def __post_init__(self):
         check(self, POLICY_FIELDS)
-        if not self.lo < self.hi:
-            raise InvalidConfigError(f"lo must be below hi, got [{self.lo}, {self.hi}]")
+        if not 0.0 < self.hi - self.lo < math.inf:
+            raise InvalidConfigError(f"lo must be below hi, with hi - lo finite, got [{self.lo}, {self.hi}]")
 
 
 @dataclass
@@ -147,8 +150,8 @@ def parse_record(line: str) -> RawRecord:
 
 def normalize_attribute(value: float, lo: float, hi: float) -> float:
     """Min-max normalization of one value onto [0, 1]."""
-    if lo >= hi:
-        raise BadBoundsError(f"bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    if not 0.0 < hi - lo < math.inf:
+        raise BadBoundsError(f"bounds must satisfy lo < hi, with hi - lo finite, got [{lo}, {hi}]")
     if not lo <= value <= hi:
         raise OutOfRangeError(f"value {value} outside declared bounds [{lo}, {hi}]")
     return (value - lo) / (hi - lo)

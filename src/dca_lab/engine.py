@@ -7,14 +7,16 @@ and completed antigens are finalized the moment their last context lands.
 When the record stream is exhausted, a flush forces every sample-holding
 DC to vote on its current cumulative values so no antigen is left behind.
 
-Picks, votes and migrations build no message or agent objects: a pick
-adds the antigen's three output signals to the DC's float sums in place,
-a vote hands the antigen a plain int bit, and a migrated DC object is
-reset in place as its replacement, with a fresh id and threshold (only
-its ``sampled`` list is new). Trace rows are built only when a trace is
-being written: each is one f-string in ``trace.csv``'s exact format,
-handed to ``TraceLog.emit``, which writes it straight to the stream.
-``run`` calls
+Picks, votes and migrations pass plain numbers and build no message or
+agent objects. An antigen's signals are one (pamp, danger, safe) float
+tuple, fused once into one (csm, semi, mat) tuple; ``sample_dcs(n, k,
+rng)`` returns the k picked list positions; a pick adds the triple to
+the DC's float sums in place; a vote hands the antigen a plain int bit;
+and a migrated DC object is reset in place as its replacement, with a
+fresh id and threshold (only its ``sampled`` list is new). Trace rows
+are built only when a trace is being written: each is one f-string in
+``trace.csv``'s exact format, handed to ``TraceLog.emit``, which writes
+it straight to the stream. ``run`` calls
 ``step``, ``_migrate`` and ``flush``, and the engine calls the agent and
 signal functions, through their module-level names, once per tick,
 migration, pick, bit or antigen; ``benchmarks/layers.py`` times the run
@@ -297,7 +299,7 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
             config.weight_matrix,
         )
         dcs = world.dcs
-        for position in sample_dcs(range(len(dcs)), k, world.rng):
+        for position in sample_dcs(len(dcs), k, world.rng):
             dc = dcs[position]
             dc_handle_picked(dc, ag.antigen_id, out)
             if trace is not None:

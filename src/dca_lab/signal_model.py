@@ -3,7 +3,8 @@
 Normalized attributes in [0,1] are mapped onto three input signals
 (PAMP, danger, safe) on a 0-100 scale, which a 3x3 weight matrix fuses
 into the costimulation (csm), semimature (semi) and mature (mat) output
-signals that dendritic cells accumulate between picks.
+signals that dendritic cells accumulate between picks. Both triples are
+plain float tuples, in that order.
 
 Floating-point note: every reduction here is a plain left-to-right sum,
 which is what makes engine runs bit-for-bit reproducible against the
@@ -28,24 +29,6 @@ MAX_WEIGHT = 1e100
 
 class IndexOutOfBoundsError(IndexError):
     """A signal mapping references an attribute index the record does not have."""
-
-
-@dataclass(frozen=True)
-class InputSignals:
-    """One (pamp, danger, safe) triple, each component in [0, 100]."""
-
-    pamp: float
-    danger: float
-    safe: float
-
-
-@dataclass(frozen=True)
-class OutputSignals:
-    """One (csm, semi, mat) triple produced from a single set of inputs."""
-
-    csm: float
-    semi: float
-    mat: float
 
 
 @dataclass(frozen=True)
@@ -141,13 +124,7 @@ def _source_mean(attributes: Sequence[float], sources: tuple[int, ...]) -> float
     return total / len(sources)
 
 
-def _clamp_signal(value: float) -> float:
-    # Rounding in the source mean can drift a hair past the scale ends;
-    # clamping keeps the [0, 100] invariant unconditional.
-    return min(max(value, 0.0), SIGNAL_SCALE)
-
-
-def derive_input_signals(attributes: Sequence[float], mapping: SignalMapping) -> InputSignals:
+def derive_input_signals(attributes: Sequence[float], mapping: SignalMapping) -> tuple[float, float, float]:
     """Map a record's [0,1] attributes to (pamp, danger, safe) on [0, 100].
 
     pamp and danger are 100 times the mean of their source attributes; safe
@@ -161,14 +138,20 @@ def derive_input_signals(attributes: Sequence[float], mapping: SignalMapping) ->
         safe = SIGNAL_SCALE * (1.0 - safe_mean)
     else:
         safe = SIGNAL_SCALE * safe_mean
-    return InputSignals(
-        pamp=_clamp_signal(pamp), danger=_clamp_signal(danger), safe=_clamp_signal(safe)
+    # A left-to-right sum of n values in [0, 1] is at most n, so for
+    # ingested records every signal is already on [0, 100]. The clamp is
+    # for Python callers whose AntigenRecord attributes lie outside [0, 1].
+    return (
+        min(max(pamp, 0.0), SIGNAL_SCALE),
+        min(max(danger, 0.0), SIGNAL_SCALE),
+        min(max(safe, 0.0), SIGNAL_SCALE),
     )
 
 
-def process_signals(inputs: InputSignals, weights: WeightMatrix) -> OutputSignals:
-    """Plain weighted sum of the inputs, one output per matrix column."""
-    csm = weights.pamp[0] * inputs.pamp + weights.danger[0] * inputs.danger + weights.safe[0] * inputs.safe
-    semi = weights.pamp[1] * inputs.pamp + weights.danger[1] * inputs.danger + weights.safe[1] * inputs.safe
-    mat = weights.pamp[2] * inputs.pamp + weights.danger[2] * inputs.danger + weights.safe[2] * inputs.safe
-    return OutputSignals(csm=csm, semi=semi, mat=mat)
+def process_signals(inputs: tuple[float, float, float], weights: WeightMatrix) -> tuple[float, float, float]:
+    """Plain weighted sum of (pamp, danger, safe), one output per matrix column: (csm, semi, mat)."""
+    pamp, danger, safe = inputs
+    csm = weights.pamp[0] * pamp + weights.danger[0] * danger + weights.safe[0] * safe
+    semi = weights.pamp[1] * pamp + weights.danger[1] * danger + weights.safe[1] * safe
+    mat = weights.pamp[2] * pamp + weights.danger[2] * danger + weights.safe[2] * safe
+    return csm, semi, mat

@@ -9,11 +9,13 @@ replacement, test ids). The script copies ``src/`` to a temporary
 directory and first runs all named tests on the unmutated copy, which
 must pass. Then, one mutant at a time, it replaces the snippet in the
 copy, runs only that mutant's tests against it in one subprocess, with
-hypothesis derandomized, and restores the file. It exits 1 if a snippet
-does not occur exactly once in its file (so a refactor has to carry its
-mutants forward), if a mutant survives, or if pytest ends in anything but
-a pass or a test failure (a renamed test, a collection error). Pytest
-does not collect this file: its name does not start with ``test_``.
+hypothesis derandomized, and restores the file. It prints each mutant's
+verdict and seconds, then the total. It exits 1 if a snippet does not
+occur exactly once in its file (so a refactor has to carry its mutants
+forward), if a mutant survives, or if pytest ends in anything but a pass
+or a test failure (a renamed test, a collection error, a run past
+``TIMEOUT_S``). Pytest does not collect this file: its name does not
+start with ``test_``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: A pytest run that takes longer is reported as that mutant's error (a mutant may loop forever).
+TIMEOUT_S = 180
 
 
 class Mutant(NamedTuple):
@@ -55,19 +60,58 @@ MUTANTS = [
            ("tests/test_agents.py::TestOwnedDraws::test_below_matches_randrange",)),
     Mutant("engine.py", "t_min + (t_max - t_min) * world.rng.random()", "t_max - (t_max - t_min) * world.rng.random()",
            ("tests/test_engine.py::TestRun::test_matches_reference_loop_on_twenty_records",)),
+    # The sampler's swap forgets the slot it moves out of position i.
+    Mutant("agents.py", "swapped[j] = swapped.pop(i, i)", "swapped[j] = i",
+           ("tests/test_agents.py::TestSampleDcs::test_matches_dense_shuffle_and_rng_state",)),
+    Mutant("engine.py", "pick,{ag.antigen_id};{dc.dc_id},", "pick,{ag.antigen_id};{dc.dc_id}",
+           ("tests/test_trace.py::test_trace_bytes_are_pinned",)),
+    Mutant("cli.py", "{r.mcav:.6f}", "{r.mcav:.6g}",
+           ("tests/test_output_bytes.py::test_output_bytes_are_pinned",)),
+    Mutant("analysis.py", "counts[min(bisect_right(edges, v) - 1, bins - 1)]", "counts[min(int(v * bins), bins - 1)]",
+           ("tests/test_analysis.py::TestBuildHistogram::test_every_mcav_lands_between_its_bin_edges",)),
+    # median_high in place of median_low.
+    Mutant("data_ingest.py", "bisect_right(ends, (ends[-1] - 1) // 2)", "bisect_right(ends, ends[-1] // 2)",
+           ("tests/test_data_ingest.py::TestLoadDataset::test_impute_median_lower_of_two",)),
+    Mutant("data_ingest.py", "_CLASS_TOKENS = {", "_CLASS_TOKENS = {\"3\": False, ",
+           ("tests/test_data_ingest.py::test_matches_reference_ingest",)),
+    Mutant("agents.py", "    if dc.cum_semi > dc.cum_mat:\n", "    if dc.cum_mat > dc.cum_semi:\n",
+           ("tests/test_agents.py::TestMigrationAndContext::test_semi_greater_goes_semimature",)),
+    Mutant("engine.py", "        if ag is None:  # never owed a bit, or already got its last one\n", "        if False:\n",
+           ("tests/test_engine.py::TestFlush::test_bit_for_an_antigen_not_in_flight_is_engine_fault",)),
+    Mutant("signal_model.py",
+           "    return (\n        min(max(pamp, 0.0), SIGNAL_SCALE),\n        min(max(danger, 0.0), SIGNAL_SCALE),\n"
+           "        min(max(safe, 0.0), SIGNAL_SCALE),\n    )\n",
+           "    return pamp, danger, safe\n",
+           ("tests/test_signal_model.py::TestDeriveInputSignals::test_attributes_outside_unit_interval_are_clamped_to_the_scale",)),
+    Mutant("data_ingest.py", "    return (value - lo) / (hi - lo)\n", "    return (value - lo) * (1 / (hi - lo))\n",
+           ("tests/test_data_ingest.py::TestNormalizeAttribute::test_is_the_literal_quotient_bit_for_bit",)),
+    # The safe row's semi and mat weights swapped.
+    Mutant("signal_model.py", "weights.safe[1] * safe", "weights.safe[2] * safe",
+           ("tests/test_signal_model.py::TestProcessSignals::test_unit_safe",)),
+    Mutant("data_ingest.py", "        if not 0.0 < self.hi - self.lo < math.inf:\n", "        if not self.lo < self.hi:\n",
+           ("tests/test_schema.py::test_python_built_component_is_checked_against_its_rows[overflowing_span]",)),
+    Mutant("data_ingest.py", "    if not 0.0 < hi - lo < math.inf:\n", "    if not lo < hi:\n",
+           ("tests/test_data_ingest.py::TestNormalizeAttribute::test_bounds_whose_span_overflows_are_rejected",)),
+    # A failed write leaves its temp file behind.
+    Mutant("cli.py", "            os.unlink(tmp_name)\n", "            pass\n",
+           ("tests/test_cli.py::TestRunCommand::test_failed_traced_run_leaves_no_trace_and_no_temp_file",)),
 ]
 
 
-def run_tests(src: Path, tests: tuple[str, ...]) -> int:
-    """Pytest's exit code for ``tests`` run against the package in ``src``."""
+def run_tests(src: Path, tests: tuple[str, ...]) -> int | None:
+    """Pytest's exit code for ``tests`` run against the package in ``src``; None past ``TIMEOUT_S``."""
     # CI selects the derandomized hypothesis profile; no bytecode, so no stale .pyc of a mutant.
     env = dict(os.environ, PYTHONPATH=str(src), CI="1", PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, timeout=600).returncode
+    try:
+        return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
+    started = time.monotonic()
     failures = []
     with tempfile.TemporaryDirectory(prefix="dca-mutants-") as tmp:
         src = Path(tmp) / "src"
@@ -84,17 +128,18 @@ def main() -> int:
                 failures.append(f"{label}: the snippet does not occur exactly once")
                 continue
             path.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
+            mutant_started = time.monotonic()
             try:
                 code = run_tests(src, m.tests)
             finally:
                 path.write_text(original, encoding="utf-8")
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
-            print(f"{label}: {verdict}", flush=True)
+            verdict = {0: "SURVIVED", 1: "killed", None: f"timed out after {TIMEOUT_S} s"}.get(code, f"pytest exit {code}")
+            print(f"{label}: {verdict} ({time.monotonic() - mutant_started:.1f} s)", flush=True)
             if code != 1:
                 failures.append(f"{label}: {verdict}")
     for failure in failures:
         print(f"FAIL {failure}")
-    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed in {time.monotonic() - started:.1f} s")
     return 1 if failures else 0
 
 

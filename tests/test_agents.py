@@ -43,9 +43,9 @@ def outputs_of(attributes):
     )
 
 
-def dense_sample(population_ids, k, rng):
-    """Reference: the partial Fisher-Yates shuffle over a full copy of the pool."""
-    pool = list(population_ids)
+def dense_sample(n, k, rng):
+    """Reference: the partial Fisher-Yates shuffle over the full list of positions."""
+    pool = list(range(n))
     for i in range(k):
         j = i + rng.randrange(len(pool) - i)
         pool[i], pool[j] = pool[j], pool[i]
@@ -83,42 +83,39 @@ class TestOwnedDraws:
 
 class TestSampleDcs:
     def test_zero_sample(self):
-        assert sample_dcs([1, 2, 3], 0, random.Random(0)) == []
+        assert sample_dcs(3, 0, random.Random(0)) == []
 
     def test_exhaustive_sample(self):
-        ids = [10, 20, 30, 40]
-        picked = sample_dcs(ids, 4, random.Random(0))
-        assert sorted(picked) == sorted(ids)
+        picked = sample_dcs(4, 4, random.Random(0))
+        assert sorted(picked) == [0, 1, 2, 3]
 
     def test_sample_too_large(self):
         with pytest.raises(SampleTooLargeError):
-            sample_dcs([1, 2, 3, 4, 5], 6, random.Random(0))
+            sample_dcs(5, 6, random.Random(0))
 
     def test_deterministic_given_state(self):
-        first = sample_dcs(list(range(100)), 10, random.Random(42))
-        second = sample_dcs(list(range(100)), 10, random.Random(42))
+        first = sample_dcs(100, 10, random.Random(42))
+        second = sample_dcs(100, 10, random.Random(42))
         assert first == second
 
     @given(st.integers(0, 30), st.integers(0, 2**32))
     def test_distinct_members_of_population(self, k, seed):
-        population = list(range(100, 130))
-        picked = sample_dcs(population, k, random.Random(seed))
+        picked = sample_dcs(30, k, random.Random(seed))
         assert len(picked) == k
         assert len(set(picked)) == k
-        assert set(picked) <= set(population)
+        assert set(picked) <= set(range(30))
 
     @given(st.integers(1, 2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
            st.integers(0, 2**64 - 1))
     def test_matches_dense_shuffle_and_rng_state(self, n_and_k, seed):
         n, k = n_and_k
-        population = range(1, 3 * n + 1, 3)  # the engine passes a range of positions
         sparse_rng, dense_rng = random.Random(seed), random.Random(seed)
-        assert sample_dcs(population, k, sparse_rng) == dense_sample(population, k, dense_rng)
+        assert sample_dcs(n, k, sparse_rng) == dense_sample(n, k, dense_rng)
         assert sparse_rng.getstate() == dense_rng.getstate()
 
     def test_uniformity_smoke(self):
         rng = random.Random(1234)
-        counts = Counter(sample_dcs(range(10), 1, rng)[0] for _ in range(10_000))
+        counts = Counter(sample_dcs(10, 1, rng)[0] for _ in range(10_000))
         for dc_id in range(10):
             assert 500 <= counts[dc_id] <= 1500, counts
 
@@ -143,14 +140,14 @@ class TestDcHandlePicked:
         before = dc.cum
         size_before = len(dc.sampled)
 
-        expected = outputs_of(tuple(attrs))
-        dc_handle_picked(dc, 99, expected)
+        csm, semi, mat = outputs_of(tuple(attrs))
+        dc_handle_picked(dc, 99, (csm, semi, mat))
 
         assert len(dc.sampled) == size_before + 1
         assert dc.sampled[-1] == 99
-        assert dc.cum.cum_csm == before.cum_csm + expected.csm
-        assert dc.cum.cum_semi == before.cum_semi + expected.semi
-        assert dc.cum.cum_mat == before.cum_mat + expected.mat
+        assert dc.cum.cum_csm == before.cum_csm + csm
+        assert dc.cum.cum_semi == before.cum_semi + semi
+        assert dc.cum.cum_mat == before.cum_mat + mat
 
 
 class TestMigrationAndContext:

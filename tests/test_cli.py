@@ -258,6 +258,25 @@ class TestRunCommand:
         leftovers = [p.name for p in out.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    @pytest.mark.parametrize("fault", ["config", "engine"])
+    def test_failed_traced_run_leaves_no_trace_and_no_temp_file(self, tmp_path, monkeypatch, fault):
+        data = write_dataset(tmp_path / "d.data")
+        out = tmp_path / "out"
+        argv = ["run", "--data", str(data), "--out", str(out), "--trace"]
+        if fault == "config":  # attribute index 9 is past the record's nine attributes
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"signal_mapping": {
+                "pamp_sources": [9], "danger_sources": [0], "safe_sources": [0]}}))
+            argv += ["--config", str(config_path)]
+        else:
+            def faulty_run(config, records, trace=None):
+                trace.emit("0,spawn,0,normal\r\n")
+                raise EngineFaultError("tick 0: DC 0 voted for antigen 1 which is not in flight")
+
+            monkeypatch.setattr(cli, "run", faulty_run)
+        assert main(argv) == {"config": EXIT_CONFIG, "engine": EXIT_ENGINE}[fault]
+        assert list(out.iterdir()) == []
+
 
 def run_cli_process(*args):
     """Run the CLI in a fresh interpreter, as a user would, and capture stderr."""
@@ -338,6 +357,7 @@ REJECTED_CONFIGS = {
     ),
     "string_anomalous_threshold": ('{"anomalous_threshold": "0.5"}', "anomalous_threshold"),
     "policy_not_an_object": ('{"attribute_policy": [1]}', "attribute_policy"),
+    "overflowing_policy_span": ('{"attribute_policy": {"lo": -1e308, "hi": 1e308}}', "attribute_policy"),
     # Unknown keys are rejected at every depth, by dotted path.
     "misspelled_policy_key": (
         '{"attribute_policy": {"missing_value_polcy": "impute_median"}}',

@@ -84,6 +84,19 @@ class TestNormalizeAttribute:
         with pytest.raises(BadBoundsError):
             normalize_attribute(5, 10, 1)
 
+    def test_bounds_whose_span_overflows_are_rejected(self):
+        # Both bounds are finite, but hi - lo is inf: every value would come out 0.0.
+        with pytest.raises(BadBoundsError, match="hi - lo finite"):
+            normalize_attribute(5, -1e308, 1e308)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 10), (0, 20), (2, 8), (-1.5, 11.25), (1, 7)])
+    def test_is_the_literal_quotient_bit_for_bit(self, lo, hi):
+        # The ingest parity property takes this function as its reference,
+        # so it is pinned here against the formula itself. A reciprocal
+        # form, (v - lo) * (1 / (hi - lo)), differs at v = 8 on [1, 10].
+        for v in range(int(lo) + 1, int(hi) + 1):
+            assert normalize_attribute(v, lo, hi) == (v - lo) / (hi - lo)
+
     @given(
         lo=st.floats(-1000, 1000),
         width=st.floats(0.01, 2000),

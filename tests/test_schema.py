@@ -20,6 +20,9 @@ WEIGHTS = {"danger": (1, 0, 1), "safe": (2, 3, -3)}
         pytest.param(lambda: AttributePolicy(lo="1", hi="10"), "lo must be a number, got '1'", id="string_bounds"),
         # Once accepted: every normalized attribute came out NaN.
         pytest.param(lambda: AttributePolicy(lo=-math.inf, hi=math.inf), "lo must be in", id="infinite_bounds"),
+        # Once accepted: finite bounds whose span overflows, so every attribute normalized to 0.0.
+        pytest.param(lambda: AttributePolicy(lo=-1e308, hi=1e308),
+                     "lo must be below hi, with hi - lo finite, got [-1e+308, 1e+308]", id="overflowing_span"),
         # Once an OverflowError from float().
         pytest.param(lambda: WeightMatrix(pamp=(10**400, 0, 0), **WEIGHTS),
                      "pamp must be in [-1e+100, 1e+100], got 1000", id="huge_int_weight"),

@@ -9,8 +9,6 @@ from dca_lab.schema import InvalidConfigError
 from dca_lab.signal_model import (
     DEFAULT_WEIGHT_MATRIX,
     IndexOutOfBoundsError,
-    InputSignals,
-    OutputSignals,
     SignalMapping,
     WeightMatrix,
     default_signal_mapping,
@@ -22,27 +20,26 @@ signal_floats = st.floats(0.0, 100.0)
 attr_floats = st.floats(0.0, 1.0)
 
 
-def as_tuple(out: OutputSignals) -> tuple[float, float, float]:
-    return (out.csm, out.semi, out.mat)
-
-
 class TestDeriveInputSignals:
     def test_benign_extreme(self):
-        signals = derive_input_signals([0.0] * 9, default_signal_mapping())
-        assert (signals.pamp, signals.danger, signals.safe) == (0.0, 0.0, 100.0)
+        assert derive_input_signals([0.0] * 9, default_signal_mapping()) == (0.0, 0.0, 100.0)
 
     def test_malignant_extreme(self):
-        signals = derive_input_signals([1.0] * 9, default_signal_mapping())
-        assert (signals.pamp, signals.danger, signals.safe) == (100.0, 100.0, 0.0)
+        assert derive_input_signals([1.0] * 9, default_signal_mapping()) == (100.0, 100.0, 0.0)
+
+    def test_attributes_outside_unit_interval_are_clamped_to_the_scale(self):
+        # Ingest never yields these; a Python caller's AntigenRecord may.
+        mapping = default_signal_mapping()
+        assert derive_input_signals([1.5] * 9, mapping) == (100.0, 100.0, 0.0)
+        assert derive_input_signals([-0.5] * 9, mapping) == (0.0, 0.0, 100.0)
 
     def test_split_sources_with_complement(self):
         mapping = SignalMapping(pamp_sources=(0,), danger_sources=(1,), safe_sources=(0,))
-        signals = derive_input_signals([0.2, 0.8], mapping)
-        assert (signals.pamp, signals.danger, signals.safe) == (20.0, 80.0, 80.0)
+        assert derive_input_signals([0.2, 0.8], mapping) == (20.0, 80.0, 80.0)
 
     def test_complement_off(self):
         mapping = SignalMapping((0,), (0,), (0,), safe_is_complement=False)
-        assert derive_input_signals([0.25], mapping).safe == 25.0
+        assert derive_input_signals([0.25], mapping) == (25.0, 25.0, 25.0)
 
     def test_empty_source_list_rejected(self):
         with pytest.raises(InvalidConfigError, match="pamp_sources must list at least one"):
@@ -77,8 +74,7 @@ class TestDeriveInputSignals:
             tuple(range(len(attrs))),
             safe_is_complement=complement,
         )
-        signals = derive_input_signals(attrs, mapping)
-        for value in (signals.pamp, signals.danger, signals.safe):
+        for value in derive_input_signals(attrs, mapping):
             assert 0.0 <= value <= 100.0
 
 
@@ -106,16 +102,13 @@ class TestWeightMatrix:
 
 class TestProcessSignals:
     def test_zero_input_zero_output(self):
-        out = process_signals(InputSignals(0, 0, 0), DEFAULT_WEIGHT_MATRIX)
-        assert as_tuple(out) == (0.0, 0.0, 0.0)
+        assert process_signals((0, 0, 0), DEFAULT_WEIGHT_MATRIX) == (0.0, 0.0, 0.0)
 
     def test_unit_pamp(self):
-        out = process_signals(InputSignals(1, 0, 0), DEFAULT_WEIGHT_MATRIX)
-        assert as_tuple(out) == (2.0, 0.0, 2.0)
+        assert process_signals((1, 0, 0), DEFAULT_WEIGHT_MATRIX) == (2.0, 0.0, 2.0)
 
     def test_unit_safe(self):
-        out = process_signals(InputSignals(0, 0, 1), DEFAULT_WEIGHT_MATRIX)
-        assert as_tuple(out) == (2.0, 3.0, -3.0)
+        assert process_signals((0, 0, 1), DEFAULT_WEIGHT_MATRIX) == (2.0, 3.0, -3.0)
 
     @given(
         x=st.tuples(signal_floats, signal_floats, signal_floats),
@@ -124,21 +117,18 @@ class TestProcessSignals:
     )
     def test_linearity(self, x, y, alpha):
         w = DEFAULT_WEIGHT_MATRIX
-        scaled = process_signals(InputSignals(*(alpha * v for v in x)), w)
-        direct = process_signals(InputSignals(*x), w)
-        for got, expected in zip(as_tuple(scaled), (alpha * v for v in as_tuple(direct))):
+        scaled = process_signals(tuple(alpha * v for v in x), w)
+        direct = process_signals(x, w)
+        for got, expected in zip(scaled, (alpha * v for v in direct)):
             assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)
 
-        summed = process_signals(InputSignals(*(a + b for a, b in zip(x, y))), w)
-        parts = [
-            a + b
-            for a, b in zip(as_tuple(process_signals(InputSignals(*x), w)),
-                            as_tuple(process_signals(InputSignals(*y), w)))
-        ]
-        for got, expected in zip(as_tuple(summed), parts):
+        summed = process_signals(tuple(a + b for a, b in zip(x, y)), w)
+        parts = [a + b for a, b in zip(process_signals(x, w), process_signals(y, w))]
+        for got, expected in zip(summed, parts):
             assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)
 
     @given(st.tuples(signal_floats, signal_floats, signal_floats))
     def test_default_matrix_keeps_csm_nonnegative(self, inputs):
-        assert process_signals(InputSignals(*inputs), DEFAULT_WEIGHT_MATRIX).csm >= 0.0
+        csm, semi, mat = process_signals(inputs, DEFAULT_WEIGHT_MATRIX)
+        assert csm >= 0.0
 
