@@ -24,6 +24,16 @@ class Category(Enum):
     NORMAL = "normal"
     ANOMALOUS = "anomalous"
 
+    # Enum hashes a member by its name, in Python code. A member equals
+    # only itself, so the identity hash is consistent, and a dict keyed by
+    # members is read at the cost of a plain object key.
+    __hash__ = object.__hash__
+
+
+#: Each category's text, as the output files print it. A dict read costs
+#: less than the ``value`` property of an Enum member.
+CATEGORY_TEXT = {category: category.value for category in Category}
+
 
 class SampleTooLargeError(ValueError):
     """Asked for more distinct DCs than the population holds."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agents import Category
 
@@ -23,8 +24,9 @@ class ValueOutOfRangeError(ValueError):
     """A histogram value lies outside [0, 1]."""
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
+    """One antigen's outcome; a NamedTuple, since a run builds one per record."""
+
     antigen_id: int
     mcav: float
     predicted: Category

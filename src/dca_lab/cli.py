@@ -26,6 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterator
 
+from .agents import CATEGORY_TEXT
 from .analysis import ClassificationResult, MCAVHistogram
 from .data_ingest import DatasetError, DatasetSummary, load_dataset
 from .engine import CONFIG_FIELDS, MAX_SEED, EngineFaultError, RunReport, SimConfig, TraceLog, run
@@ -131,9 +132,19 @@ def write_default_config(path: Path) -> None:
 
 
 def results_csv_text(results: list[ClassificationResult]) -> str:
+    """One row per result, each distinct MCAV's 6-decimal text formatted once.
+
+    A run's MCAVs take only the values j/k. The text is looked up by value,
+    so a -0.0 after a 0.0 would print as 0.000000; a run never yields -0.0,
+    since ones / received is +0.0 when no bit is 1.
+    """
     lines = ["antigen_id,mcav,predicted,actual"]
-    for r in results:
-        lines.append(f"{r.antigen_id},{r.mcav:.6f},{r.predicted.value},{r.actual.value}")
+    mcav_text: dict[float, str] = {}
+    for antigen_id, mcav, predicted, actual in results:
+        text = mcav_text.get(mcav)
+        if text is None:
+            text = mcav_text[mcav] = f"{mcav:.6f}"
+        lines.append(f"{antigen_id},{text},{CATEGORY_TEXT[predicted]},{CATEGORY_TEXT[actual]}")
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .agents import Category
 from .schema import Field, InvalidConfigError, check
@@ -61,8 +61,7 @@ class MissingValuePolicy(Enum):
     IMPUTE_MEDIAN = "impute_median"
 
 
-@dataclass(frozen=True)
-class RawRecord:
+class RawRecord(NamedTuple):
     """One parsed row, missing markers preserved as None, not yet normalized."""
 
     sample_id: int
@@ -70,11 +69,12 @@ class RawRecord:
     class_code: int
 
 
-@dataclass(frozen=True)
-class AntigenRecord:
+class AntigenRecord(NamedTuple):
     """One classification item: normalized attributes plus the ground truth.
 
-    antigen_id values are assigned sequentially in file order from 0.
+    antigen_id values are assigned sequentially in file order from 0. A
+    NamedTuple, like ``RawRecord``: built once per row, it costs about half
+    what a frozen dataclass does.
     """
 
     antigen_id: int

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 from .agents import (
+    CATEGORY_TEXT,
     AntigenAgent,
     DCAgent,
     antigen_handle_context,
@@ -209,17 +210,10 @@ def _finalize_antigen(
     world: World, config: SimConfig, ag: AntigenAgent, trace: TraceLog | None
 ) -> None:
     predicted = classify_antigen(ag.mcav, config.anomalous_threshold)
-    world.results.append(
-        ClassificationResult(
-            antigen_id=ag.antigen_id,
-            mcav=ag.mcav,
-            predicted=predicted,
-            actual=ag.true_label,
-        )
-    )
+    world.results.append(ClassificationResult(ag.antigen_id, ag.mcav, predicted, ag.true_label))
     del world.antigens_in_flight[ag.antigen_id]
     if trace is not None:
-        trace.emit(f"{world.tick},finalize,{ag.antigen_id},{ag.mcav!r};{predicted.value}\r\n")
+        trace.emit(f"{world.tick},finalize,{ag.antigen_id},{ag.mcav!r};{CATEGORY_TEXT[predicted]}\r\n")
 
 
 def _deliver_contexts(
@@ -283,14 +277,10 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
     if world.pending:
         record = world.pending.popleft()
         k = config.dcs_per_antigen
-        ag = AntigenAgent(
-            antigen_id=record.antigen_id,
-            true_label=record.true_label,
-            expected_contexts=k,
-        )
+        ag = AntigenAgent(record.antigen_id, record.true_label, k)
         world.antigens_in_flight[ag.antigen_id] = ag
         if trace is not None:
-            trace.emit(f"{world.tick},spawn,{ag.antigen_id},{ag.true_label.value}\r\n")
+            trace.emit(f"{world.tick},spawn,{ag.antigen_id},{CATEGORY_TEXT[ag.true_label]}\r\n")
 
         # The output triple depends only on the record and the config, so
         # it is computed once and added to each of the k picked DCs.

@@ -130,10 +130,27 @@ def derive_input_signals(attributes: Sequence[float], mapping: SignalMapping) ->
     pamp and danger are 100 times the mean of their source attributes; safe
     is the same unless the mapping complements it, in which case it is
     ``100 * (1 - mean)``.
+
+    Each distinct source list's mean is computed once: the default mapping
+    feeds all three signals from the same list. Means are taken, and a bad
+    index reported, in pamp, danger, safe order.
     """
-    pamp = SIGNAL_SCALE * _source_mean(attributes, mapping.pamp_sources)
-    danger = SIGNAL_SCALE * _source_mean(attributes, mapping.danger_sources)
-    safe_mean = _source_mean(attributes, mapping.safe_sources)
+    pamp_sources = mapping.pamp_sources
+    danger_sources = mapping.danger_sources
+    safe_sources = mapping.safe_sources
+    pamp_mean = _source_mean(attributes, pamp_sources)
+    if danger_sources == pamp_sources:
+        danger_mean = pamp_mean
+    else:
+        danger_mean = _source_mean(attributes, danger_sources)
+    if safe_sources == pamp_sources:
+        safe_mean = pamp_mean
+    elif safe_sources == danger_sources:
+        safe_mean = danger_mean
+    else:
+        safe_mean = _source_mean(attributes, safe_sources)
+    pamp = SIGNAL_SCALE * pamp_mean
+    danger = SIGNAL_SCALE * danger_mean
     if mapping.safe_is_complement:
         safe = SIGNAL_SCALE * (1.0 - safe_mean)
     else:

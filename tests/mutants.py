@@ -65,7 +65,10 @@ MUTANTS = [
            ("tests/test_agents.py::TestSampleDcs::test_matches_dense_shuffle_and_rng_state",)),
     Mutant("engine.py", "pick,{ag.antigen_id};{dc.dc_id},", "pick,{ag.antigen_id};{dc.dc_id}",
            ("tests/test_trace.py::test_trace_bytes_are_pinned",)),
-    Mutant("cli.py", "{r.mcav:.6f}", "{r.mcav:.6g}",
+    Mutant("cli.py", "{mcav:.6f}", "{mcav:.6g}",
+           ("tests/test_output_bytes.py::test_output_bytes_are_pinned",)),
+    # Every row of results.csv reuses the text of the first MCAV seen.
+    Mutant("cli.py", "text = mcav_text.get(mcav)", "text = next(iter(mcav_text.values()), None)",
            ("tests/test_output_bytes.py::test_output_bytes_are_pinned",)),
     Mutant("analysis.py", "counts[min(bisect_right(edges, v) - 1, bins - 1)]", "counts[min(int(v * bins), bins - 1)]",
            ("tests/test_analysis.py::TestBuildHistogram::test_every_mcav_lands_between_its_bin_edges",)),
@@ -85,6 +88,15 @@ MUTANTS = [
            ("tests/test_signal_model.py::TestDeriveInputSignals::test_attributes_outside_unit_interval_are_clamped_to_the_scale",)),
     Mutant("data_ingest.py", "    return (value - lo) / (hi - lo)\n", "    return (value - lo) * (1 / (hi - lo))\n",
            ("tests/test_data_ingest.py::TestNormalizeAttribute::test_is_the_literal_quotient_bit_for_bit",)),
+    # danger always reuses pamp's mean.
+    Mutant("signal_model.py", "    if danger_sources == pamp_sources:\n", "    if True:\n",
+           ("tests/test_signal_model.py::TestDeriveInputSignals::test_each_signal_takes_its_own_lists_mean[pamp_equals_safe]",)),
+    # safe reuses danger's mean when its own list differs.
+    Mutant("signal_model.py", "    elif safe_sources == danger_sources:\n", "    elif True:\n",
+           ("tests/test_signal_model.py::TestDeriveInputSignals::test_each_signal_takes_its_own_lists_mean[all_distinct]",)),
+    # safe reuses pamp's mean when it shares danger's list instead.
+    Mutant("signal_model.py", "    if safe_sources == pamp_sources:\n", "    if safe_sources == danger_sources:\n",
+           ("tests/test_signal_model.py::TestDeriveInputSignals::test_each_signal_takes_its_own_lists_mean[danger_equals_safe]",)),
     # The safe row's semi and mat weights swapped.
     Mutant("signal_model.py", "weights.safe[1] * safe", "weights.safe[2] * safe",
            ("tests/test_signal_model.py::TestProcessSignals::test_unit_safe",)),

@@ -20,6 +20,60 @@ signal_floats = st.floats(0.0, 100.0)
 attr_floats = st.floats(0.0, 1.0)
 
 
+def three_means_reference(attributes, mapping):
+    """``derive_input_signals`` with each signal's mean taken on its own, bad indices checked first."""
+
+    def mean(sources):
+        for idx in sources:
+            if idx >= len(attributes):
+                raise IndexOutOfBoundsError(f"source index {idx} out of bounds for {len(attributes)} attributes")
+        total = 0.0
+        for idx in sources:
+            total += attributes[idx]
+        return total / len(sources)
+
+    pamp = 100.0 * mean(mapping.pamp_sources)
+    danger = 100.0 * mean(mapping.danger_sources)
+    safe_mean = mean(mapping.safe_sources)
+    safe = 100.0 * (1.0 - safe_mean) if mapping.safe_is_complement else 100.0 * safe_mean
+    return tuple(min(max(v, 0.0), 100.0) for v in (pamp, danger, safe))
+
+
+#: Which of (pamp, danger, safe) share a source list: each pattern names
+#: the list every signal takes, by letter.
+COINCIDENCE_PATTERNS = {
+    "all_equal": "aaa",
+    "pamp_equals_danger": "aab",
+    "pamp_equals_safe": "aba",
+    "danger_equals_safe": "abb",
+    "all_distinct": "abc",
+}
+
+
+@st.composite
+def coinciding_mappings(draw, pattern):
+    """Attributes, some outside [0, 1], and a mapping whose lists coincide as ``pattern`` says.
+
+    The lists are equal by value but built separately, as a JSON config
+    builds them; indices may lie past the last attribute.
+    """
+    attributes = draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=9))
+    indices = st.lists(st.integers(0, len(attributes)), min_size=1, max_size=12)
+    lists = {}
+    for letter in sorted(set(pattern)):
+        lists[letter] = draw(indices.filter(lambda sources: sources not in lists.values()))
+    sources = [tuple(lists[letter]) for letter in pattern]
+    return attributes, SignalMapping(*sources, safe_is_complement=draw(st.booleans()))
+
+
+def outcome(derive, attributes, mapping):
+    """The signals as exact float hex, or the IndexOutOfBoundsError text."""
+    try:
+        return [v.hex() for v in derive(attributes, mapping)]
+    except IndexOutOfBoundsError as exc:
+        return str(exc)
+
+
 class TestDeriveInputSignals:
     def test_benign_extreme(self):
         assert derive_input_signals([0.0] * 9, default_signal_mapping()) == (0.0, 0.0, 100.0)
@@ -65,6 +119,34 @@ class TestDeriveInputSignals:
         for sources in [((bad,), (0,), (0,)), ((0,), (bad,), (0,)), ((0,), (0,), (0, bad))]:
             with pytest.raises(InvalidConfigError, match="must be an array of values, each an integer"):
                 SignalMapping(*sources)
+
+    @pytest.mark.parametrize("pattern", COINCIDENCE_PATTERNS.values(), ids=COINCIDENCE_PATTERNS)
+    def test_each_signal_takes_its_own_lists_mean(self, pattern):
+        attrs = [0.5, 0.25, 0.75, 1.0]
+        lists = {"a": (0, 1), "b": (2, 3), "c": (1, 3, 3)}
+        mapping = SignalMapping(*(lists[letter] for letter in pattern), safe_is_complement=False)
+        expected = {"a": 37.5, "b": 87.5, "c": 75.0}
+        assert derive_input_signals(attrs, mapping) == tuple(expected[letter] for letter in pattern)
+
+    @pytest.mark.parametrize("pattern", COINCIDENCE_PATTERNS.values(), ids=COINCIDENCE_PATTERNS)
+    @given(data=st.data())
+    def test_matches_three_independent_means_bit_for_bit(self, pattern, data):
+        attributes, mapping = data.draw(coinciding_mappings(pattern))
+        assert outcome(derive_input_signals, attributes, mapping) == outcome(three_means_reference, attributes, mapping)
+
+    @pytest.mark.parametrize(
+        "sources, bad",
+        [
+            (((0, 5), (0, 5), (0, 5)), 5),  # one list shared by all three
+            (((0,), (1, 7, 3), (1, 7, 3)), 7),  # danger and safe share the bad list
+            (((4,), (9,), (4,)), 4),  # pamp and safe share it; danger is bad too, but later
+            (((0,), (8,), (3,)), 8),  # danger's bad index comes before safe's
+        ],
+    )
+    def test_a_shared_bad_list_raises_for_its_first_bad_index(self, sources, bad):
+        with pytest.raises(IndexOutOfBoundsError) as excinfo:
+            derive_input_signals([0.5, 0.5], SignalMapping(*sources))
+        assert str(excinfo.value) == f"source index {bad} out of bounds for 2 attributes"
 
     @given(st.lists(attr_floats, min_size=1, max_size=9), st.booleans())
     def test_output_in_range(self, attrs, complement):
