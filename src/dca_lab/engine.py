@@ -22,6 +22,10 @@ signal functions, through their module-level names, once per tick,
 migration, pick, bit or antigen; ``benchmarks/layers.py`` times the run
 by wrapping those names.
 
+``run`` checks its records once, before the first tick: the mapping
+fits them, their attributes lie in [0, 1] and their ids are distinct.
+``init_world``, ``step``, ``flush`` and signal derivation trust them.
+
 Randomness comes from a single ``random.Random`` (Mersenne Twister)
 stream seeded from the config, with a fixed draw order: the N initial
 migration thresholds in DC-index order at world creation, then per tick
@@ -38,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -61,7 +65,7 @@ from .analysis import (
     build_histogram,
     compute_metrics,
 )
-from .data_ingest import POLICY_FIELDS, AntigenRecord, AttributePolicy, EmptyDatasetError
+from .data_ingest import POLICY_FIELDS, AntigenRecord, AttributePolicy, DatasetError, EmptyDatasetError
 from .schema import Field, InvalidConfigError, check
 from .signal_model import (
     DEFAULT_WEIGHT_MATRIX,
@@ -324,7 +328,10 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
     return world
 
 
-def _check_mapping_fits(config: SimConfig, records: Sequence[AntigenRecord]) -> None:
+def _check_records(config: SimConfig, records: Sequence[AntigenRecord]) -> None:
+    """What every tick assumes of the records, proved once; ``run`` says what it rejects."""
+    if not records:
+        raise EmptyDatasetError("cannot run on zero records")
     mapping = config.signal_mapping
     max_index = max(mapping.pamp_sources + mapping.danger_sources + mapping.safe_sources)
     shortest = min(len(r.attributes) for r in records)
@@ -333,6 +340,13 @@ def _check_mapping_fits(config: SimConfig, records: Sequence[AntigenRecord]) -> 
             f"signal mapping references attribute index {max_index} but a record "
             f"has only {shortest} attributes"
         )
+    # Each distinct value is compared once; NaN fails both comparisons.
+    if not all(0.0 <= v <= 1.0 for v in {v for r in records for v in r.attributes}):
+        bad = next(r for r in records if not all(0.0 <= v <= 1.0 for v in r.attributes))
+        raise DatasetError(f"antigen {bad.antigen_id} has an attribute outside [0, 1]: {bad.attributes}")
+    repeated = [aid for aid, n in Counter(r.antigen_id for r in records).items() if n > 1]
+    if repeated:
+        raise DatasetError(f"antigen id {repeated[0]} is repeated")
 
 
 def run(
@@ -340,14 +354,15 @@ def run(
     records: Sequence[AntigenRecord],
     trace: TraceLog | None = None,
 ) -> RunReport:
-    """Run the full simulation: init, one tick per record, flush, analyse.
+    """Run the full simulation: check the records, init, one tick per record, flush, analyse.
 
+    Rejects no records (``EmptyDatasetError``), a signal mapping that
+    names an attribute a record lacks (``InvalidConfigError``), and an
+    attribute outside [0, 1] or a repeated antigen id (``DatasetError``).
     A deterministic function of (config, records): identical inputs give
     identical reports, including every rng-dependent field.
     """
-    if not records:
-        raise EmptyDatasetError("cannot run on zero records")
-    _check_mapping_fits(config, records)
+    _check_records(config, records)
     world = init_world(config, records)
     while world.pending:
         step(world, config, trace)

@@ -4,7 +4,8 @@ Normalized attributes in [0,1] are mapped onto three input signals
 (PAMP, danger, safe) on a 0-100 scale, which a 3x3 weight matrix fuses
 into the costimulation (csm), semimature (semi) and mature (mat) output
 signals that dendritic cells accumulate between picks. Both triples are
-plain float tuples, in that order.
+plain float tuples, in that order. Derivation is arithmetic only:
+``engine.run`` checks the attributes and the mapping once per run.
 
 Floating-point note: every reduction here is a plain left-to-right sum,
 which is what makes engine runs bit-for-bit reproducible against the
@@ -21,14 +22,11 @@ from .schema import Field, InvalidConfigError, check
 #: Input signals live on [0, SIGNAL_SCALE]. The scale is arbitrary; it only
 #: gives migration thresholds an intuitive magnitude.
 SIGNAL_SCALE = 100.0
-#: Largest |weight|. A pick adds at most 300 * MAX_WEIGHT to a DC's sums,
-#: so no run over a record count that fits in memory can reach the float
-#: maximum (about 1.8e308) and turn a sum into inf or nan.
+#: Largest |weight|. The attributes ``engine.run`` accepts give input
+#: signals within [0, 100], so a pick adds at most 300 * MAX_WEIGHT to a
+#: DC's sums and no run over a record count that fits in memory can reach
+#: the float maximum (about 1.8e308) and turn a sum into inf or nan.
 MAX_WEIGHT = 1e100
-
-
-class IndexOutOfBoundsError(IndexError):
-    """A signal mapping references an attribute index the record does not have."""
 
 
 @dataclass(frozen=True)
@@ -111,11 +109,6 @@ def default_signal_mapping(attribute_count: int = 9) -> SignalMapping:
 
 
 def _source_mean(attributes: Sequence[float], sources: tuple[int, ...]) -> float:
-    if max(sources) >= len(attributes):
-        idx = next(idx for idx in sources if idx >= len(attributes))
-        raise IndexOutOfBoundsError(
-            f"source index {idx} out of bounds for {len(attributes)} attributes"
-        )
     # Left-to-right sum, not sum(): the reference implementation mirrors this
     # exactly, and sum() rounds differently from Python 3.12 on.
     total = 0.0
@@ -132,8 +125,9 @@ def derive_input_signals(attributes: Sequence[float], mapping: SignalMapping) ->
     ``100 * (1 - mean)``.
 
     Each distinct source list's mean is computed once: the default mapping
-    feeds all three signals from the same list. Means are taken, and a bad
-    index reported, in pamp, danger, safe order.
+    feeds all three signals from the same list. Nothing is checked: the
+    caller (``engine.run``) has proved that the mapping fits and that the
+    attributes lie in [0, 1]. A bad index raises ``IndexError``.
     """
     pamp_sources = mapping.pamp_sources
     danger_sources = mapping.danger_sources
@@ -149,20 +143,9 @@ def derive_input_signals(attributes: Sequence[float], mapping: SignalMapping) ->
         safe_mean = danger_mean
     else:
         safe_mean = _source_mean(attributes, safe_sources)
-    pamp = SIGNAL_SCALE * pamp_mean
-    danger = SIGNAL_SCALE * danger_mean
     if mapping.safe_is_complement:
-        safe = SIGNAL_SCALE * (1.0 - safe_mean)
-    else:
-        safe = SIGNAL_SCALE * safe_mean
-    # A left-to-right sum of n values in [0, 1] is at most n, so for
-    # ingested records every signal is already on [0, 100]. The clamp is
-    # for Python callers whose AntigenRecord attributes lie outside [0, 1].
-    return (
-        min(max(pamp, 0.0), SIGNAL_SCALE),
-        min(max(danger, 0.0), SIGNAL_SCALE),
-        min(max(safe, 0.0), SIGNAL_SCALE),
-    )
+        safe_mean = 1.0 - safe_mean
+    return SIGNAL_SCALE * pamp_mean, SIGNAL_SCALE * danger_mean, SIGNAL_SCALE * safe_mean
 
 
 def process_signals(inputs: tuple[float, float, float], weights: WeightMatrix) -> tuple[float, float, float]:

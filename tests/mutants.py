@@ -81,11 +81,13 @@ MUTANTS = [
            ("tests/test_agents.py::TestMigrationAndContext::test_semi_greater_goes_semimature",)),
     Mutant("engine.py", "        if ag is None:  # never owed a bit, or already got its last one\n", "        if False:\n",
            ("tests/test_engine.py::TestFlush::test_bit_for_an_antigen_not_in_flight_is_engine_fault",)),
-    Mutant("signal_model.py",
-           "    return (\n        min(max(pamp, 0.0), SIGNAL_SCALE),\n        min(max(danger, 0.0), SIGNAL_SCALE),\n"
-           "        min(max(safe, 0.0), SIGNAL_SCALE),\n    )\n",
-           "    return pamp, danger, safe\n",
-           ("tests/test_signal_model.py::TestDeriveInputSignals::test_attributes_outside_unit_interval_are_clamped_to_the_scale",)),
+    # The range check lets NaN through: NaN fails every comparison.
+    Mutant("engine.py", "if not all(0.0 <= v <= 1.0 for v in {", "if any(v < 0.0 or v > 1.0 for v in {",
+           ("tests/test_engine.py::TestRecordsCheck::test_attribute_outside_unit_interval_rejected[nan]",)),
+    Mutant("engine.py", "    if max_index >= shortest:\n", "    if max_index > shortest:\n",
+           ("tests/test_engine.py::TestRecordsCheck::test_mapping_index_equal_to_the_attribute_count_rejected",)),
+    Mutant("engine.py", "    if repeated:\n", "    if False:\n",
+           ("tests/test_engine.py::TestRecordsCheck::test_repeated_antigen_id_rejected_before_the_first_tick[finalized_twice]",)),
     Mutant("data_ingest.py", "    return (value - lo) / (hi - lo)\n", "    return (value - lo) * (1 / (hi - lo))\n",
            ("tests/test_data_ingest.py::TestNormalizeAttribute::test_is_the_literal_quotient_bit_for_bit",)),
     # danger always reuses pamp's mean.
@@ -104,6 +106,10 @@ MUTANTS = [
            ("tests/test_schema.py::test_python_built_component_is_checked_against_its_rows[overflowing_span]",)),
     Mutant("data_ingest.py", "    if not 0.0 < hi - lo < math.inf:\n", "    if not lo < hi:\n",
            ("tests/test_data_ingest.py::TestNormalizeAttribute::test_bounds_whose_span_overflows_are_rejected",)),
+    # results.csv rounds each MCAV to a tenth: right when k = 10, as in every
+    # older pinned output, wrong for the corpus run with k = 7.
+    Mutant("cli.py", 'mcav_text[mcav] = f"{mcav:.6f}"', 'mcav_text[mcav] = f"{round(mcav, 1):.6f}"',
+           ("tests/test_golden.py::test_corpus_bytes_are_pinned[k_equals_n_impute]",)),
     # A failed write leaves its temp file behind.
     Mutant("cli.py", "            os.unlink(tmp_name)\n", "            pass\n",
            ("tests/test_cli.py::TestRunCommand::test_failed_traced_run_leaves_no_trace_and_no_temp_file",)),

@@ -13,7 +13,7 @@ from conftest import make_records, oracle_kwargs, random_sim_setup, write_wbc_li
 from oracle import run_reference_dca
 
 from dca_lab.agents import AntigenAgent, Category, DCAgent
-from dca_lab.data_ingest import AntigenRecord, EmptyDatasetError, load_dataset
+from dca_lab.data_ingest import AntigenRecord, DatasetError, EmptyDatasetError, load_dataset
 from dca_lab.engine import (
     EngineFaultError,
     InvalidConfigError,
@@ -381,6 +381,44 @@ class TestRun:
             ones = result.mcav * k
             assert ones == int(ones)
             assert result.mcav == int(ones) / k
+
+
+class TestRecordsCheck:
+    """``run`` checks its records once, before the first tick."""
+
+    def test_mapping_index_equal_to_the_attribute_count_rejected(self):
+        records = make_records(random.Random(9), 5, 2)
+        config = small_config(signal_mapping=SignalMapping((0,), (1, 2), (1,)))
+        with pytest.raises(InvalidConfigError, match="attribute index 2 but a record has only 2 attributes"):
+            run(config, records)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, math.inf, -math.inf])
+    def test_attribute_outside_unit_interval_rejected(self, bad):
+        records = make_records(random.Random(3), 5, 2)
+        records[3] = records[3]._replace(attributes=(0.5, bad))
+        with pytest.raises(DatasetError, match=r"antigen 3 has an attribute outside \[0, 1\]"):
+            run(small_config(), records)
+
+    def test_unit_interval_ends_accepted(self):
+        records = [
+            AntigenRecord(0, 0, (0.0, 1.0), Category.NORMAL),
+            AntigenRecord(1, 1, (1.0, 0.0), Category.ANOMALOUS),
+        ]
+        assert len(run(small_config(), records).results) == 2
+
+    # Unchecked, (100, 300) ends in a vote for an id already finalized, and
+    # (1, 1) gives two results with id 0.
+    @pytest.mark.parametrize("threshold_range", [(100.0, 300.0), (1.0, 1.0)], ids=["votes_twice", "finalized_twice"])
+    def test_repeated_antigen_id_rejected_before_the_first_tick(self, threshold_range):
+        records = [
+            AntigenRecord(0, 10, (0.0,) * 9, Category.NORMAL),
+            AntigenRecord(0, 11, (1.0,) * 9, Category.ANOMALOUS),
+            AntigenRecord(1, 12, (0.5,) * 9, Category.NORMAL),
+        ]
+        stream = io.StringIO(newline="")
+        with pytest.raises(DatasetError, match="antigen id 0 is repeated"):
+            run(SimConfig(threshold_range=threshold_range, seed=3), records, TraceLog(stream))
+        assert stream.getvalue() == "tick,event_kind,ids,values\r\n"
 
 
 class TestRandomizedOracleParity:

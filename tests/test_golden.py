@@ -18,10 +18,6 @@ def corpus(tmp_path_factory) -> dict[str, dict[str, str]]:
     return corpus_hashes(tmp_path_factory.mktemp("corpus"))
 
 
-def test_the_manifest_pins_every_scenario():
-    assert sorted(GOLDEN) == sorted(SCENARIOS)
-
-
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_corpus_bytes_are_pinned(corpus, scenario):
     assert corpus[scenario] == GOLDEN[scenario]
