@@ -1,10 +1,13 @@
 """Parsing, validation and normalization of the input dataset.
 
-Input format: plain text, one record per line, 11 comma-separated fields
-(sample id, nine attributes, class code), no header, ``?`` marking a
-missing attribute. This is bit-compatible with the UCI
-``breast-cancer-wisconsin.data`` distribution, whose attributes range
-over [1, 10] and whose class codes are 2 (Normal) and 4 (Anomalous).
+Input format: UTF-8 text split on ``\\n`` only, one record per line, 11
+comma-separated fields (sample id, nine attributes, class code), no
+header. Every field is ASCII digits, except that ``?`` marks a missing
+attribute. One trailing ``\\r`` per line and one leading byte order mark
+are dropped and empty lines are skipped; any other text is a fault. This
+is bit-compatible with the UCI ``breast-cancer-wisconsin.data``
+distribution, whose attributes range over [1, 10] and whose class codes
+are 2 (Normal) and 4 (Anomalous).
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .agents import Category
 from .schema import Field, InvalidConfigError, check
 
 ATTRIBUTE_COUNT = 9
-FIELD_COUNT = 11
+FIELD_COUNT = ATTRIBUTE_COUNT + 2  # sample id, attributes, class code
 MISSING_MARKER = "?"
 NORMAL_CLASS_CODE = 2
 ANOMALOUS_CLASS_CODE = 4
@@ -37,7 +40,7 @@ class FieldCountError(DatasetError):
 
 
 class NonNumericFieldError(DatasetError):
-    """A field is neither an integer nor the missing marker."""
+    """A field is neither ASCII digits nor, for an attribute, the missing marker."""
 
 
 class ClassCodeError(DatasetError):
@@ -52,29 +55,17 @@ class OutOfRangeError(DatasetError):
     """An attribute value lies outside the declared normalization bounds."""
 
 
-class BadBoundsError(ValueError):
-    """Normalization bounds do not satisfy lo < hi with a finite hi - lo."""
-
-
 class MissingValuePolicy(Enum):
     SKIP_RECORD = "skip_record"
     IMPUTE_MEDIAN = "impute_median"
-
-
-class RawRecord(NamedTuple):
-    """One parsed row, missing markers preserved as None, not yet normalized."""
-
-    sample_id: int
-    attributes: tuple[int | None, ...]
-    class_code: int
 
 
 class AntigenRecord(NamedTuple):
     """One classification item: normalized attributes plus the ground truth.
 
     antigen_id values are assigned sequentially in file order from 0. A
-    NamedTuple, like ``RawRecord``: built once per row, it costs about half
-    what a frozen dataclass does.
+    NamedTuple: built once per row, it costs about half what a frozen
+    dataclass does.
     """
 
     antigen_id: int
@@ -118,47 +109,23 @@ class DatasetSummary:
     )
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise NonNumericFieldError(
-            f"{what} {text!r} is neither an integer nor {MISSING_MARKER!r}"
-        ) from None
-
-
-def parse_record(line: str) -> RawRecord:
-    """Parse one comma-separated row; preserves missing markers, no normalization."""
-    fields = line.strip().split(",")
-    if len(fields) != FIELD_COUNT:
-        raise FieldCountError(
-            f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}"
-        )
-    sample_id = _parse_int(fields[0], "sample id")
-    attributes = tuple(
-        None if text == MISSING_MARKER else _parse_int(text, f"attribute {i + 1}")
-        for i, text in enumerate(fields[1 : 1 + ATTRIBUTE_COUNT])
-    )
-    class_code = _parse_int(fields[FIELD_COUNT - 1], "class code")
-    if class_code not in (NORMAL_CLASS_CODE, ANOMALOUS_CLASS_CODE):
-        raise ClassCodeError(
-            f"class code must be {NORMAL_CLASS_CODE} or {ANOMALOUS_CLASS_CODE}, "
-            f"got {class_code}"
-        )
-    return RawRecord(sample_id=sample_id, attributes=attributes, class_code=class_code)
-
-
 def normalize_attribute(value: float, lo: float, hi: float) -> float:
-    """Min-max normalization of one value onto [0, 1]."""
-    if not 0.0 < hi - lo < math.inf:
-        raise BadBoundsError(f"bounds must satisfy lo < hi, with hi - lo finite, got [{lo}, {hi}]")
+    """Min-max normalization of one value onto [0, 1].
+
+    The bounds are taken as ``AttributePolicy`` checked them: lo < hi, with
+    ``hi - lo`` finite.
+    """
     if not lo <= value <= hi:
         raise OutOfRangeError(f"value {value} outside declared bounds [{lo}, {hi}]")
     return (value - lo) / (hi - lo)
 
 
-def _iter_lines(source) -> Iterator[str]:
-    """The source's lines, without one leading byte order mark (U+FEFF)."""
+def _lines(source) -> list[str]:
+    """The source's lines, without one leading byte order mark (U+FEFF).
+
+    A stream is read whole and split on ``\\n`` only, so a fault's line
+    number counts the same line ends whether it is a bad byte or a bad field.
+    """
     if hasattr(source, "read"):
         try:
             data = source.read()
@@ -170,23 +137,74 @@ def _iter_lines(source) -> Iterator[str]:
                 f"line {lineno}: not UTF-8 text "
                 f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
             ) from None
-        lines = iter(data.splitlines())
+        lines = data.split("\n")
     else:
-        lines = iter(source)
-    first = next(lines, None)
-    if first is not None:
-        yield first.removeprefix("\ufeff")
-        yield from lines
+        lines = list(source)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
+    return lines
+
+
+def _ascii_int(text: str, what: str) -> int:
+    """The value of a field of ASCII digits; every other spelling is a fault."""
+    if text.isdigit() and text.isascii():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise NonNumericFieldError(f"{what} has {len(text)} digits, more than int() converts") from None
+    raise NonNumericFieldError(f"{what} {text!r} is not ASCII digits")
 
 
 #: The class tokens a row may carry as they are, and whether each marks an
-#: anomalous row. Any other spelling that ``int()`` reads as 2 or 4 still
-#: loads, through ``parse_record``.
+#: anomalous row. Any other spelling of 2 or 4 in ASCII digits (``02``)
+#: is read by ``_ascii_int``.
 _CLASS_TOKENS = {str(NORMAL_CLASS_CODE): False, str(ANOMALOUS_CLASS_CODE): True}
 
 #: One parsed row: line number, sample id, attribute values (None where
 #: missing) and whether the class code is the anomalous one.
 _Row = tuple[int, int, tuple[int | None, ...], bool]
+
+
+def _read_rows(lines: list[str]) -> list[_Row]:
+    """Each row's sample id, attribute values (None where missing) and class.
+
+    Attribute tokens are looked up in a table that learns each new one.
+    A row's first fault is raised with its line number, in field order:
+    the field count, the sample id, the attributes left to right, the
+    class code.
+    """
+    tokens: dict[str, int | None] = {MISSING_MARKER: None}
+    token_value = tokens.__getitem__
+    rows: list[_Row] = []
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.removesuffix("\r")
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != FIELD_COUNT:
+                raise FieldCountError(f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
+            sample_id = _ascii_int(fields[0], "sample id")
+            attributes = fields[1:-1]
+            try:
+                values = tuple(map(token_value, attributes))
+            except KeyError:
+                for i, text in enumerate(attributes, start=1):
+                    if text not in tokens:
+                        tokens[text] = _ascii_int(text, f"attribute {i}")
+                values = tuple(map(token_value, attributes))
+            anomalous = _CLASS_TOKENS.get(fields[-1])
+            if anomalous is None:
+                code = _ascii_int(fields[-1], "class code")
+                if code not in (NORMAL_CLASS_CODE, ANOMALOUS_CLASS_CODE):
+                    raise ClassCodeError(
+                        f"class code must be {NORMAL_CLASS_CODE} or {ANOMALOUS_CLASS_CODE}, got {code}"
+                    )
+                anomalous = code == ANOMALOUS_CLASS_CODE
+            rows.append((lineno, sample_id, values, anomalous))
+    except DatasetError as exc:
+        raise type(exc)(f"line {lineno}: {exc}") from exc
+    return rows
 
 
 def _median_low(counts: Counter) -> int:
@@ -220,43 +238,20 @@ def load_dataset(
 ) -> tuple[list[AntigenRecord], DatasetSummary]:
     """Parse, apply the missing-value policy, normalize, and label every row.
 
-    ``source`` may be a text or binary stream or any iterable of lines.
-    Blank lines are ignored. Parse and normalization errors are re-raised
-    with the offending 1-based line number: the first parse error in file
-    order, then a column with nothing to impute from, then the first
-    out-of-range value in the order of the kept rows. A pure function of
-    the bytes and the policy: identical inputs yield identical record lists.
+    ``source`` may be a text or binary stream, read whole and split on
+    ``\\n``, or any iterable of lines without their ``\\n``. Each line
+    loses one trailing ``\\r``; an empty line is skipped and every other
+    line is a row in the module's grammar. Faults are raised with the
+    offending 1-based line number: the first parse error in file order,
+    then a column with nothing to impute from, then the first out-of-range
+    value in the order of the kept rows. A pure function of the bytes and
+    the policy: identical inputs yield identical record lists.
 
     Each distinct attribute token is parsed once and each distinct value
-    normalized once, by table lookup. A row with 11 fields, an integer
-    sample id, a class token of ``2`` or ``4`` and only known attribute
-    tokens is read from the tables; every other row goes through
-    ``parse_record``, which raises the row's diagnostic or teaches the
-    table its tokens. ``normalize_attribute`` fills the value table, so
-    the floats are the ones it returns.
+    normalized once, by table lookup. ``normalize_attribute`` fills the
+    value table, so the floats are the ones it returns.
     """
-    tokens: dict[str, int | None] = {MISSING_MARKER: None}
-    token_value = tokens.__getitem__
-    rows: list[_Row] = []
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        fields = text.split(",")
-        anomalous = _CLASS_TOKENS.get(fields[-1]) if len(fields) == FIELD_COUNT else None
-        if anomalous is not None:
-            try:
-                rows.append((lineno, int(fields[0]), tuple(map(token_value, fields[1:-1])), anomalous))
-                continue
-            except (KeyError, ValueError):  # an unknown token or a bad sample id
-                pass
-        try:
-            raw = parse_record(line)
-        except DatasetError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from exc
-        tokens.update(zip(fields[1:-1], raw.attributes))
-        rows.append((lineno, raw.sample_id, raw.attributes, raw.class_code == ANOMALOUS_CLASS_CODE))
-
+    rows = _read_rows(_lines(source))
     impute = policy.missing_value_policy is not MissingValuePolicy.SKIP_RECORD
     medians = _column_medians(rows) if impute else []
     labels = (Category.NORMAL, Category.ANOMALOUS)

@@ -1,8 +1,10 @@
 """CLI surface: config round-trip, output files, exit codes, determinism."""
 
+import contextlib
 import copy
 import functools
 import hashlib
+import io
 import json
 import math
 import operator
@@ -433,3 +435,93 @@ class TestRejectedInputs:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["threshold_range"] == [50.0, 150.5]
         assert report["config"]["signal_mapping"]["safe_is_complement"] is False
+
+
+ROW = "1000025,5,1,1,1,2,1,3,1,1,2"
+
+#: Datasets that once loaded (int() read the field, or splitlines() split the line)
+#: and now exit 3, with a fragment of the diagnostic.
+REJECTED_DATASETS = {
+    "form_feed_between_rows": (f"{ROW}\x0c{ROW}\n", "line 1: expected 11 comma-separated fields, got 21"),
+    "plus_sign": (f"{ROW}\n1000026,+3,1,1,1,1,1,1,1,1,2\n", "line 2: attribute 1 '+3'"),
+    "underscore": (f"{ROW}\n1000026,1,1_0,1,1,1,1,1,1,1,2\n", "line 2: attribute 2 '1_0'"),
+    "leading_space": (f"{ROW}\n1000026,1,1, 5,1,1,1,1,1,1,2\n", "line 2: attribute 3 ' 5'"),
+    "arabic_indic_digit": (f"{ROW}\n1000026,1,1,1,\u0661,1,1,1,1,1,2\n", "line 2: attribute 4 '\u0661'"),
+}
+
+
+def run_in_process(data_path, out_dir):
+    """``main(["run", ...])`` on a dataset: its exit code and its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--data", str(data_path), "--out", str(out_dir)])
+    return code, err.getvalue().splitlines()
+
+
+class TestDatasetGrammar:
+    @pytest.mark.parametrize("case", sorted(REJECTED_DATASETS))
+    def test_dataset_spelling_rejected_with_exit_3(self, tmp_path, case):
+        text, fragment = REJECTED_DATASETS[case]
+        data = tmp_path / "d.data"
+        data.write_bytes(text.encode())
+        code, lines = run_in_process(data, tmp_path / "out")
+        assert code == EXIT_DATA
+        assert len(lines) == 1 and lines[0].startswith("dca-lab: ") and fragment in lines[0], lines
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+
+#: What a mutation may insert into a WBC file: separators and line breaks,
+#: digits int() reads but the grammar does not, NULs, huge integers, lone CRs.
+INSERTIONS = [",", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "\t", "\ufeff",
+              "\u0661", "\u0665", "\uff15", "\u00b2", "+", "-", "_", "?", ".", "\x00",
+              "9" * 5000, str(2**64), "0" * 30 + "4"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # Module-scoped: hypothesis rejects a function-scoped tmp_path under @given.
+    return tmp_path_factory.mktemp("dataset-fuzz")
+
+
+ROW_VALUES = [str(v) for v in range(1, 11)] + ["?"]
+
+
+@st.composite
+def mutated_dataset(draw):
+    """A few WBC rows, then one to four edits, as UTF-8: a piece inserted, one
+    character deleted, or the text up to the next comma replaced by a piece."""
+    rows = []
+    for i in range(draw(st.integers(1, 4))):
+        attributes = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=9, max_size=9))
+        rows.append(f"{1000 + i},{','.join(attributes)},{draw(st.sampled_from('24'))}")
+    text = "\n".join(rows) + "\n"
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        piece = "" if edit == "delete" else draw(st.sampled_from(INSERTIONS) | st.text(max_size=3))
+        end = {"insert": at, "delete": at + 1, "replace": max(text.find(",", at), at)}[edit]
+        text = text[:at] + piece + text[end:]
+    # A lone surrogate from st.text() becomes bytes that are not UTF-8.
+    return text.encode("utf-8", "surrogatepass")
+
+
+class TestDatasetFuzz:
+    def check(self, fuzz_dir, payload):
+        data = fuzz_dir / "d.data"
+        data.write_bytes(payload)
+        code, lines = run_in_process(data, fuzz_dir / "out")
+        assert code in (EXIT_OK, EXIT_DATA), lines
+        if code == EXIT_DATA:
+            assert len(lines) == 1 and lines[0].startswith("dca-lab: dataset parse failure"), lines
+        else:
+            assert lines == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=mutated_dataset())
+    def test_mutated_rows_load_or_exit_3_with_one_line(self, fuzz_dir, payload):
+        self.check(fuzz_dir, payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=st.binary(max_size=200) | st.text(max_size=80).map(lambda t: t.encode("utf-8", "surrogatepass")))
+    def test_arbitrary_bytes_load_or_exit_3_with_one_line(self, fuzz_dir, payload):
+        self.check(fuzz_dir, payload)

@@ -1,6 +1,7 @@
 """Parsing, normalization and loading behavior of the dataset reader."""
 
 import io
+import re
 import statistics
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from dca_lab.agents import Category
 from dca_lab.data_ingest import (
     AttributePolicy,
-    BadBoundsError,
     ClassCodeError,
     DatasetError,
     EmptyDatasetError,
@@ -17,10 +17,8 @@ from dca_lab.data_ingest import (
     MissingValuePolicy,
     NonNumericFieldError,
     OutOfRangeError,
-    RawRecord,
     load_dataset,
     normalize_attribute,
-    parse_record,
 )
 from dca_lab.schema import InvalidConfigError
 
@@ -29,37 +27,50 @@ FIRST_UCI_ROW = "1000025,5,1,1,1,2,1,3,1,1,2"
 MISSING_UCI_ROW = "1057013,8,4,5,1,2,?,7,3,1,4"
 
 
+def _one_row(line):
+    """The single record ``load_dataset`` reads from a one-line file."""
+    (record,), _ = load_dataset([line])
+    return record
+
+
+def _normalized(*values):
+    return tuple(normalize_attribute(v, 1, 10) for v in values)
+
+
 class TestParseRecord:
+    """How ``load_dataset`` reads one row, and the diagnostic it raises for a bad one."""
+
     def test_first_reference_row(self):
-        rec = parse_record(FIRST_UCI_ROW)
-        assert rec.sample_id == 1000025
-        assert rec.attributes == (5, 1, 1, 1, 2, 1, 3, 1, 1)
-        assert rec.class_code == 2
+        rec = _one_row(FIRST_UCI_ROW)
+        assert rec.source_sample_id == 1000025
+        assert rec.attributes == _normalized(5, 1, 1, 1, 2, 1, 3, 1, 1)
+        assert rec.true_label is Category.NORMAL
 
     def test_missing_marker_preserved(self):
-        rec = parse_record(MISSING_UCI_ROW)
-        assert rec.attributes[5] is None
-        assert rec.attributes[:5] == (8, 4, 5, 1, 2)
-        assert rec.class_code == 4
+        # The marker reads as a missing value: skip_record drops the row, impute_median fills it.
+        lines = [FIRST_UCI_ROW, MISSING_UCI_ROW]
+        records, summary = load_dataset(lines)
+        assert (summary.rows_read, summary.rows_skipped) == (2, 1)
+        assert [r.source_sample_id for r in records] == [1000025]
+        records, _ = load_dataset(lines, AttributePolicy(MissingValuePolicy.IMPUTE_MEDIAN))
+        assert records[1].attributes == _normalized(8, 4, 5, 1, 2, 1, 7, 3, 1)
+        assert records[1].true_label is Category.ANOMALOUS
 
     def test_field_count_error(self):
-        with pytest.raises(FieldCountError):
-            parse_record("1,2,3")
+        with pytest.raises(FieldCountError, match="^line 1: expected 11 comma-separated fields, got 3$"):
+            load_dataset(["1,2,3"])
 
     def test_non_numeric_attribute(self):
-        with pytest.raises(NonNumericFieldError):
-            parse_record("1,2,3,x,5,6,7,8,9,10,2")
+        with pytest.raises(NonNumericFieldError, match="^line 1: attribute 3 'x' is not ASCII digits$"):
+            load_dataset(["1,2,3,x,5,6,7,8,9,10,2"])
 
     def test_non_numeric_sample_id(self):
-        with pytest.raises(NonNumericFieldError):
-            parse_record("?,2,3,4,5,6,7,8,9,10,2")
+        with pytest.raises(NonNumericFieldError, match=r"^line 1: sample id '\?' is not ASCII digits$"):
+            load_dataset(["?,2,3,4,5,6,7,8,9,10,2"])
 
     def test_class_code_error(self):
-        with pytest.raises(ClassCodeError):
-            parse_record("1,2,3,4,5,6,7,8,9,10,3")
-
-    def test_does_not_normalize(self):
-        assert parse_record("1,10,10,10,10,10,10,10,10,10,4").attributes == (10,) * 9
+        with pytest.raises(ClassCodeError, match="^line 1: class code must be 2 or 4, got 3$"):
+            load_dataset(["1,2,3,4,5,6,7,8,9,10,3"])
 
 
 class TestNormalizeAttribute:
@@ -77,17 +88,6 @@ class TestNormalizeAttribute:
             normalize_attribute(11, 1, 10)
         with pytest.raises(OutOfRangeError):
             normalize_attribute(0, 1, 10)
-
-    def test_bad_bounds(self):
-        with pytest.raises(BadBoundsError):
-            normalize_attribute(5, 10, 10)
-        with pytest.raises(BadBoundsError):
-            normalize_attribute(5, 10, 1)
-
-    def test_bounds_whose_span_overflows_are_rejected(self):
-        # Both bounds are finite, but hi - lo is inf: every value would come out 0.0.
-        with pytest.raises(BadBoundsError, match="hi - lo finite"):
-            normalize_attribute(5, -1e308, 1e308)
 
     @pytest.mark.parametrize("lo, hi", [(1, 10), (0, 20), (2, 8), (-1.5, 11.25), (1, 7)])
     def test_is_the_literal_quotient_bit_for_bit(self, lo, hi):
@@ -233,79 +233,157 @@ class TestLoadDataset:
         assert records[0].attributes[:4] == (0.0, 0.25, 0.5, 1.0)
 
 
-def _reference_load(lines, policy):
-    """The loader written out plainly: parse every row, take each column's
-    median_low of a list, then normalize each value, row by row."""
-    parsed: list[tuple[int, RawRecord]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+class TestGrammar:
+    """A field is ``?`` or ASCII digits; text splits on ``\\n`` only, each line losing one ``\\r``."""
+
+    @pytest.mark.parametrize("spelling", [" 5", "5 ", "+3", "1_0", "-1", "\u0661", "\u0665", "\uff15", "\u00b2",
+                                          "5\x0c", "5\x00", "5\r3", ""])
+    @pytest.mark.parametrize("column, what", [(0, "sample id"), (4, "attribute 4"), (10, "class code")])
+    def test_spelling_that_int_reads_or_not_is_rejected(self, spelling, column, what):
+        fields = FIRST_UCI_ROW.split(",")
+        fields[column] = spelling
+        with pytest.raises(NonNumericFieldError, match=f"^line 1: {what} {re.escape(repr(spelling))} is not ASCII digits$"):
+            load_dataset(io.BytesIO(",".join(fields).encode() + b"\n"))
+
+    def test_leading_zeros_are_digits(self):
+        assert _one_row("01000025,05,01,1,1,2,1,3,1,1,02") == _one_row(FIRST_UCI_ROW)
+        assert _one_row("7,1,1,1,1,1,1,1,1,1,004").true_label is Category.ANOMALOUS
+
+    def test_more_digits_than_int_converts_is_rejected(self):
+        for line in ("9" * 5000 + ",1,1,1,1,1,1,1,1,1,2", "1," + "9" * 5000 + ",1,1,1,1,1,1,1,1,2"):
+            with pytest.raises(NonNumericFieldError, match="has 5000 digits, more than int"):
+                load_dataset([line])
+
+    def test_crlf_line_ends_load_the_same_records(self):
+        lf = load_dataset(io.BytesIO(f"{FIRST_UCI_ROW}\n\n{MISSING_UCI_ROW}\n".encode()))
+        crlf = load_dataset(io.BytesIO(f"{FIRST_UCI_ROW}\r\n\r\n{MISSING_UCI_ROW}\r\n".encode()))
+        assert crlf == lf
+
+    def test_only_one_trailing_carriage_return_is_dropped(self):
+        with pytest.raises(NonNumericFieldError, match=r"^line 1: class code '2\\r' is not ASCII digits$"):
+            load_dataset(io.BytesIO(FIRST_UCI_ROW.encode() + b"\r\r\n"))
+
+    @pytest.mark.parametrize("separator", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_no_other_line_break_splits_rows(self, separator):
+        # Two rows joined by anything but \n are one line of 21 fields.
+        payload = f"{FIRST_UCI_ROW}{separator}{FIRST_UCI_ROW}\n".encode()
+        with pytest.raises(FieldCountError, match="^line 1: expected 11 comma-separated fields, got 21$"):
+            load_dataset(io.BytesIO(payload))
+
+    def test_whitespace_only_line_is_a_bad_row(self):
+        with pytest.raises(FieldCountError, match="^line 2: expected 11 comma-separated fields, got 1$"):
+            load_dataset(io.BytesIO(f"{FIRST_UCI_ROW}\n \t\n{FIRST_UCI_ROW}\n".encode()))
+
+    def test_cr_only_file_names_the_same_line_on_both_error_paths(self):
+        # Rows ended by a lone \r are one line, for a bad byte and a bad token alike.
+        rows = [FIRST_UCI_ROW, MISSING_UCI_ROW]
+        bad_byte = "\r".join(rows).encode() + b"\r1000026,\xff,1,1,1,1,1,1,1,1,2\r"
+        bad_token = "\r".join(rows + ["1000026,x,1,1,1,1,1,1,1,1,2", ""]).encode()
+        with pytest.raises(DatasetError, match="^line 1: not UTF-8") as byte_error:
+            load_dataset(io.BytesIO(bad_byte))
+        with pytest.raises(DatasetError, match="^line 1: ") as token_error:
+            load_dataset(io.BytesIO(bad_token))
+        assert str(byte_error.value).split(":")[0] == str(token_error.value).split(":")[0]
+
+
+#: The grammar's digits, written out apart from the loader's own check.
+DIGITS = set("0123456789")
+
+
+def _reference_value(text, what):
+    if not text or not set(text) <= DIGITS:
+        raise NonNumericFieldError(f"{what} {text!r} is not ASCII digits")
+    return int(text)
+
+
+def _reference_load(text, policy):
+    """The loader written out plainly: split on \\n, parse every row, take
+    each column's median_low of a list, then normalize each value, row by row."""
+    parsed = []
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
+        if not line:
             continue
+        fields = line.split(",")
         try:
-            parsed.append((lineno, parse_record(line)))
+            if len(fields) != 11:
+                raise FieldCountError(f"expected 11 comma-separated fields, got {len(fields)}")
+            sample_id = _reference_value(fields[0], "sample id")
+            attributes = tuple(
+                None if t == "?" else _reference_value(t, f"attribute {i}")
+                for i, t in enumerate(fields[1:10], start=1)
+            )
+            class_code = _reference_value(fields[10], "class code")
+            if class_code not in (2, 4):
+                raise ClassCodeError(f"class code must be 2 or 4, got {class_code}")
         except DatasetError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from exc
+        parsed.append((lineno, sample_id, attributes, class_code))
     if policy.missing_value_policy is MissingValuePolicy.SKIP_RECORD:
-        kept = [(lineno, row.attributes, row) for lineno, row in parsed if None not in row.attributes]
+        kept = [row for row in parsed if None not in row[2]]
     else:
         medians = []
         for col in range(9):
-            present = [row.attributes[col] for _, row in parsed if row.attributes[col] is not None]
+            present = [attributes[col] for _, _, attributes, _ in parsed if attributes[col] is not None]
             if parsed and not present:
                 raise DatasetError(
                     f"attribute column {col + 1} has no non-missing values to impute from"
                 )
             medians.append(statistics.median_low(present) if present else None)
         kept = [
-            (lineno, tuple(medians[i] if v is None else v for i, v in enumerate(row.attributes)), row)
-            for lineno, row in parsed
+            (lineno, sample_id, tuple(medians[i] if v is None else v for i, v in enumerate(attributes)), code)
+            for lineno, sample_id, attributes, code in parsed
         ]
     if not kept:
         raise EmptyDatasetError("no records produced")
     records = []
     labels = {Category.NORMAL: 0, Category.ANOMALOUS: 0}
-    for antigen_id, (lineno, values, row) in enumerate(kept):
+    for antigen_id, (lineno, sample_id, values, class_code) in enumerate(kept):
         try:
             attributes = tuple(normalize_attribute(v, policy.lo, policy.hi) for v in values)
         except DatasetError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from exc
-        label = Category.ANOMALOUS if row.class_code == 4 else Category.NORMAL
+        label = Category.ANOMALOUS if class_code == 4 else Category.NORMAL
         labels[label] += 1
-        records.append((antigen_id, row.sample_id, attributes, label))
+        records.append((antigen_id, sample_id, attributes, label))
     return records, (len(parsed), len(parsed) - len(kept), len(records), labels)
 
 
-def _outcome(load, lines, policy):
+def _outcome(load, source, policy):
     try:
-        return load(lines, policy)
+        return load(source, policy)
     except DatasetError as exc:
         return type(exc), str(exc)
 
 
-def _loaded(lines, policy):
-    records, summary = load_dataset(lines, policy)
+def _loaded(source, policy):
+    records, summary = load_dataset(source, policy)
     return (
         [(r.antigen_id, r.source_sample_id, r.attributes, r.true_label) for r in records],
         (summary.rows_read, summary.rows_skipped, summary.records_produced, summary.label_counts),
     )
 
 
-# Spellings that int() reads, ones out of [1, 10] and ones it rejects; the
-# weights keep whole files and every kind of failure common.
+# Spellings of ASCII digits, ones out of [1, 10] and ones the grammar
+# rejects, though int() reads the first five of them; the weights keep
+# whole files and every kind of failure common.
 ATTRIBUTE_SPELLINGS = (
     [str(v) for v in range(1, 11)] * 2
-    + [" 5", "05", "+3", "1_0", "\u0665", "0", "11", "-1"]
-    + ["x", "", "3.0"]
+    + ["05", "0", "11", "010"]
+    + [" 5", "+3", "1_0", "\u0665", "-1", "x", "", "3.0", "\x0c5", "5\r3"]
 )
-SAMPLE_IDS = ["1000025", "7"] * 8 + ["-3", "\u0665", "1_0", "?", "x", ""]
-CLASS_CODES = ["2", "4"] * 8 + ["3", " 4", "02", "x", "?"]
+SAMPLE_IDS = ["1000025", "7", "0007"] * 6 + ["-3", "\u0665", "1_0", "?", "x", "", "1\r"]
+CLASS_CODES = ["2", "4"] * 8 + ["02", "3", " 4", "x", "?", "4\r"]
 IMPUTE = MissingValuePolicy.IMPUTE_MEDIAN
 SKIP = MissingValuePolicy.SKIP_RECORD
 
 
 @st.composite
-def wbc_like_lines(draw):
+def wbc_like_text(draw):
     """A few rows, each field drawn from a small per-file alphabet of spellings,
-    with missing markers in one or two columns at a per-file rate."""
+    with missing markers in one or two columns at a per-file rate, joined by
+    \\n or \\r\\n line ends, sometimes after a byte order mark."""
     def alphabet(spellings):
         return st.sampled_from(draw(st.lists(st.sampled_from(spellings), min_size=1, max_size=4)))
 
@@ -316,7 +394,7 @@ def wbc_like_lines(draw):
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["row"] * 16 + ["fields", "blank"]))
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", "  "])))
+            lines.append(draw(st.sampled_from(["", "  ", "\r", "\x0c"])))
             continue
         count = 9 if kind == "row" else draw(st.integers(0, 12).filter(lambda n: n != 9))
         fields = [draw(sample_ids), *(draw(attributes) for _ in range(count)), draw(class_codes)]
@@ -325,7 +403,8 @@ def wbc_like_lines(draw):
             if column < len(fields) - 1:
                 fields[column] = "?"
         lines.append(",".join(fields))
-    return lines
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(line + line_end for line in lines)
 
 
 policies = st.builds(
@@ -336,24 +415,18 @@ policies = st.builds(
 
 
 @settings(max_examples=400)
-@given(lines=wbc_like_lines(), policy=policies)
+@given(text=wbc_like_text(), policy=policies)
 # A bad class code after an out-of-range value: every parse error comes first.
-@example(lines=["1,11,1,1,1,1,1,1,1,1,2", "2,1,1,1,1,1,1,1,1,1,3"], policy=AttributePolicy())
+@example(text="1,11,1,1,1,1,1,1,1,1,2\n2,1,1,1,1,1,1,1,1,1,3\n", policy=AttributePolicy())
 # An all-missing column has nothing to impute from.
-@example(
-    lines=["1,1,1,?,1,1,1,1,1,1,2", "2,2,2,?,2,2,2,2,2,2,4"],
-    policy=AttributePolicy(IMPUTE),
-)
+@example(text="1,1,1,?,1,1,1,1,1,1,2\r\n2,2,2,?,2,2,2,2,2,2,4\r\n", policy=AttributePolicy(IMPUTE))
 # An even count takes the lower middle: column 1 holds 1, 2, 4, 8, so 2.
 @example(
-    lines=[
-        "1,1,1,1,1,1,1,1,1,1,2",
-        "2,8,1,1,1,1,1,1,1,1,2",
-        "3,4,1,1,1,1,1,1,1,1,2",
-        "4,2,1,1,1,1,1,1,1,1,2",
-        "5,?,1,1,1,1,1,1,1,1,4",
-    ],
+    text="1,1,1,1,1,1,1,1,1,1,2\n2,8,1,1,1,1,1,1,1,1,2\n3,4,1,1,1,1,1,1,1,1,2\n"
+    "4,2,1,1,1,1,1,1,1,1,2\n5,?,1,1,1,1,1,1,1,1,4\n",
     policy=AttributePolicy(IMPUTE),
 )
-def test_matches_reference_ingest(lines, policy):
-    assert _outcome(_loaded, lines, policy) == _outcome(_reference_load, lines, policy)
+def test_matches_reference_ingest(text, policy):
+    expected = _outcome(_reference_load, text, policy)
+    assert _outcome(_loaded, io.BytesIO(text.encode()), policy) == expected
+    assert _outcome(_loaded, text.split("\n"), policy) == expected

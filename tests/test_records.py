@@ -4,15 +4,10 @@ import pytest
 
 from dca_lab.agents import Category
 from dca_lab.analysis import ClassificationResult
-from dca_lab.data_ingest import AntigenRecord, RawRecord
+from dca_lab.data_ingest import AntigenRecord
 
 #: (type, field values by name in field order, the repr of that record)
 RECORDS = {
-    "raw": (
-        RawRecord,
-        {"sample_id": 1000025, "attributes": (5, None, 1), "class_code": 2},
-        "RawRecord(sample_id=1000025, attributes=(5, None, 1), class_code=2)",
-    ),
     "antigen": (
         AntigenRecord,
         {"antigen_id": 3, "source_sample_id": 1000025, "attributes": (0.5, 0.0), "true_label": Category.NORMAL},

@@ -23,6 +23,9 @@ WEIGHTS = {"danger": (1, 0, 1), "safe": (2, 3, -3)}
         # Once accepted: finite bounds whose span overflows, so every attribute normalized to 0.0.
         pytest.param(lambda: AttributePolicy(lo=-1e308, hi=1e308),
                      "lo must be below hi, with hi - lo finite, got [-1e+308, 1e+308]", id="overflowing_span"),
+        # The policy is the only check of its bounds: normalize_attribute takes them as given.
+        pytest.param(lambda: AttributePolicy(lo=10, hi=10), "lo must be below hi", id="equal_bounds"),
+        pytest.param(lambda: AttributePolicy(lo=10, hi=1), "lo must be below hi", id="reversed_bounds"),
         # Once an OverflowError from float().
         pytest.param(lambda: WeightMatrix(pamp=(10**400, 0, 0), **WEIGHTS),
                      "pamp must be in [-1e+100, 1e+100], got 1000", id="huge_int_weight"),
