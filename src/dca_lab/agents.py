@@ -35,14 +35,6 @@ class Category(Enum):
 CATEGORY_TEXT = {category: category.value for category in Category}
 
 
-class SampleTooLargeError(ValueError):
-    """Asked for more distinct DCs than the population holds."""
-
-
-class EmptyContextsError(ValueError):
-    """MCAV requested for an empty context list."""
-
-
 @dataclass(slots=True)
 class DCAgent:
     """A data processor: accumulates signals over picks until it migrates.
@@ -107,8 +99,8 @@ def sample_dcs(n: int, k: int, rng: random.Random) -> list[int]:
     """
     if k < 0:
         raise ValueError(f"sample size must be nonnegative, got {k}")
-    if k > n:
-        raise SampleTooLargeError(f"cannot pick {k} distinct DCs from a population of {n}")
+    if k > n:  # below(rng, 0) would never return
+        raise ValueError(f"cannot pick {k} distinct DCs from a population of {n}")
     # swapped[p] is the slot now at p, for slots >= i moved by an earlier swap.
     swapped: dict[int, int] = {}
     picked = []
@@ -163,7 +155,7 @@ def antigen_handle_context(ag: AntigenAgent, bit: int) -> AntigenAgent:
 def compute_mcav(contexts: Sequence[int]) -> float:
     """Fraction of context bits equal to 1: the antigen's anomaly probability."""
     if not contexts:
-        raise EmptyContextsError("MCAV needs at least one context")
+        raise ValueError("MCAV needs at least one context")
     return sum(contexts) / len(contexts)
 
 

@@ -16,14 +16,6 @@ from typing import NamedTuple
 from .agents import Category
 
 
-class EmptyResultsError(ValueError):
-    """Metrics requested for an empty result list."""
-
-
-class ValueOutOfRangeError(ValueError):
-    """A histogram value lies outside [0, 1]."""
-
-
 class ClassificationResult(NamedTuple):
     """One antigen's outcome; a NamedTuple, since a run builds one per record."""
 
@@ -77,7 +69,7 @@ def build_histogram(mcavs, bins: int = 10) -> MCAVHistogram:
     counts = [0] * bins
     for v in mcavs:
         if not 0.0 <= v <= 1.0:
-            raise ValueOutOfRangeError(f"MCAV {v} outside [0, 1]")
+            raise ValueError(f"MCAV {v} outside [0, 1]")
         counts[min(bisect_right(edges, v) - 1, bins - 1)] += 1
     return MCAVHistogram(bin_count=bins, edges=edges, counts=tuple(counts))
 
@@ -85,7 +77,7 @@ def build_histogram(mcavs, bins: int = 10) -> MCAVHistogram:
 def compute_metrics(results) -> tuple[ConfusionCounts, Metrics]:
     """Confusion counts, accuracy, guarded rates, and per-class mean MCAVs."""
     if not results:
-        raise EmptyResultsError("no classification results to score")
+        raise ValueError("no classification results to score")
 
     tp = tn = fp = fn = 0
     normal_mcavs: list[float] = []

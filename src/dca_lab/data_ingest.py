@@ -22,7 +22,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .agents import Category
-from .schema import Field, InvalidConfigError, check
+from .schema import Field, InvalidConfigError, brief, check
 
 ATTRIBUTE_COUNT = 9
 FIELD_COUNT = ATTRIBUTE_COUNT + 2  # sample id, attributes, class code
@@ -32,27 +32,7 @@ ANOMALOUS_CLASS_CODE = 4
 
 
 class DatasetError(ValueError):
-    """Base class for dataset parse and validation failures."""
-
-
-class FieldCountError(DatasetError):
-    """A row does not have exactly 11 comma-separated fields."""
-
-
-class NonNumericFieldError(DatasetError):
-    """A field is neither ASCII digits nor, for an attribute, the missing marker."""
-
-
-class ClassCodeError(DatasetError):
-    """The class code is not one of the two reference values."""
-
-
-class EmptyDatasetError(DatasetError):
-    """Loading produced zero records."""
-
-
-class OutOfRangeError(DatasetError):
-    """An attribute value lies outside the declared normalization bounds."""
+    """The dataset or its records are faulty; the CLI exits 3. The message names the fault."""
 
 
 class MissingValuePolicy(Enum):
@@ -116,21 +96,24 @@ def normalize_attribute(value: float, lo: float, hi: float) -> float:
     ``hi - lo`` finite.
     """
     if not lo <= value <= hi:
-        raise OutOfRangeError(f"value {value} outside declared bounds [{lo}, {hi}]")
+        raise DatasetError(f"value {brief(value)} outside declared bounds [{lo}, {hi}]")
     return (value - lo) / (hi - lo)
 
 
 def _lines(source) -> list[str]:
     """The source's lines, without one leading byte order mark (U+FEFF).
 
-    A stream is read whole and split on ``\\n`` only, so a fault's line
-    number counts the same line ends whether it is a bad byte or a bad field.
+    A binary stream is read whole and split on ``\\n`` only, so a fault's
+    line number counts the same line ends whether it is a bad byte or a bad
+    field. A text stream is refused: its universal newlines would already
+    have split rows at a lone ``\\r``.
     """
     if hasattr(source, "read"):
+        data = source.read()
+        if not isinstance(data, (bytes, bytearray)):
+            raise TypeError("load_dataset reads a stream in binary mode only: open the file with 'rb'")
         try:
-            data = source.read()
-            if isinstance(data, (bytes, bytearray)):
-                data = data.decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             lineno = exc.object.count(b"\n", 0, exc.start) + 1
             raise DatasetError(
@@ -151,8 +134,8 @@ def _ascii_int(text: str, what: str) -> int:
         try:
             return int(text)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise NonNumericFieldError(f"{what} has {len(text)} digits, more than int() converts") from None
-    raise NonNumericFieldError(f"{what} {text!r} is not ASCII digits")
+            raise DatasetError(f"{what} has {len(text)} digits, more than int() converts") from None
+    raise DatasetError(f"{what} {brief(text)} is not ASCII digits")
 
 
 #: The class tokens a row may carry as they are, and whether each marks an
@@ -183,7 +166,7 @@ def _read_rows(lines: list[str]) -> list[_Row]:
                 continue
             fields = line.split(",")
             if len(fields) != FIELD_COUNT:
-                raise FieldCountError(f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
+                raise DatasetError(f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
             sample_id = _ascii_int(fields[0], "sample id")
             attributes = fields[1:-1]
             try:
@@ -197,13 +180,13 @@ def _read_rows(lines: list[str]) -> list[_Row]:
             if anomalous is None:
                 code = _ascii_int(fields[-1], "class code")
                 if code not in (NORMAL_CLASS_CODE, ANOMALOUS_CLASS_CODE):
-                    raise ClassCodeError(
+                    raise DatasetError(
                         f"class code must be {NORMAL_CLASS_CODE} or {ANOMALOUS_CLASS_CODE}, got {code}"
                     )
                 anomalous = code == ANOMALOUS_CLASS_CODE
             rows.append((lineno, sample_id, values, anomalous))
     except DatasetError as exc:
-        raise type(exc)(f"line {lineno}: {exc}") from exc
+        raise DatasetError(f"line {lineno}: {exc}") from exc
     return rows
 
 
@@ -238,14 +221,15 @@ def load_dataset(
 ) -> tuple[list[AntigenRecord], DatasetSummary]:
     """Parse, apply the missing-value policy, normalize, and label every row.
 
-    ``source`` may be a text or binary stream, read whole and split on
-    ``\\n``, or any iterable of lines without their ``\\n``. Each line
-    loses one trailing ``\\r``; an empty line is skipped and every other
-    line is a row in the module's grammar. Faults are raised with the
-    offending 1-based line number: the first parse error in file order,
-    then a column with nothing to impute from, then the first out-of-range
-    value in the order of the kept rows. A pure function of the bytes and
-    the policy: identical inputs yield identical record lists.
+    ``source`` may be a binary stream, read whole and split on ``\\n``,
+    or any iterable of lines without their ``\\n``; a text stream raises
+    ``TypeError``. Each line loses one trailing ``\\r``; an empty line is
+    skipped and every other line is a row in the module's grammar. Faults
+    are raised with the offending 1-based line number: the first parse
+    error in file order, then a column with nothing to impute from, then
+    the first out-of-range value in the order of the kept rows. A pure
+    function of the bytes and the policy: identical inputs yield identical
+    record lists.
 
     Each distinct attribute token is parsed once and each distinct value
     normalized once, by table lookup. ``normalize_attribute`` fills the
@@ -272,12 +256,12 @@ def load_dataset(
                     try:
                         normalized[v] = normalize_attribute(v, policy.lo, policy.hi)
                     except DatasetError as exc:
-                        raise type(exc)(f"line {lineno}: {exc}") from exc
+                        raise DatasetError(f"line {lineno}: {exc}") from exc
             attributes = tuple(map(normalized_value, values))
         records.append(AntigenRecord(len(records), sample_id, attributes, labels[anomalous]))
         anomalous_count += anomalous
     if not records:
-        raise EmptyDatasetError("no records produced")
+        raise DatasetError("no records produced")
 
     summary = DatasetSummary(
         rows_read=len(rows),

@@ -65,7 +65,7 @@ from .analysis import (
     build_histogram,
     compute_metrics,
 )
-from .data_ingest import POLICY_FIELDS, AntigenRecord, AttributePolicy, DatasetError, EmptyDatasetError
+from .data_ingest import POLICY_FIELDS, AntigenRecord, AttributePolicy, DatasetError
 from .schema import Field, InvalidConfigError, check
 from .signal_model import (
     DEFAULT_WEIGHT_MATRIX,
@@ -86,11 +86,7 @@ MAX_SIZE = 10**6
 
 
 class EngineFaultError(RuntimeError):
-    """An agent contract was violated mid-run; the simulation aborts."""
-
-
-class UnflushableError(EngineFaultError):
-    """An antigen still lacks contexts after flush."""
+    """An agent contract was violated mid-run; the simulation aborts and the CLI exits 5."""
 
 
 #: The config schema: one row per field, in ``SimConfig`` field order.
@@ -191,8 +187,6 @@ class TraceLog:
 
 def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
     """Create N immature DCs (thresholds drawn in DC-index order) at tick 0."""
-    if not records:
-        raise EmptyDatasetError("cannot initialize a world with zero records")
     t_min, t_max = config.threshold_range
     rng = random.Random(config.seed)
     dcs = [
@@ -322,7 +316,7 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
             trace.emit(f"{world.tick},discard,{dc.dc_id},\r\n")
     world.dcs.clear()
     if world.antigens_in_flight:
-        raise UnflushableError(
+        raise EngineFaultError(
             f"{len(world.antigens_in_flight)} antigens still lack contexts after flush"
         )
     return world
@@ -331,7 +325,7 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
 def _check_records(config: SimConfig, records: Sequence[AntigenRecord]) -> None:
     """What every tick assumes of the records, proved once; ``run`` says what it rejects."""
     if not records:
-        raise EmptyDatasetError("cannot run on zero records")
+        raise DatasetError("cannot run on zero records")
     mapping = config.signal_mapping
     max_index = max(mapping.pamp_sources + mapping.danger_sources + mapping.safe_sources)
     shortest = min(len(r.attributes) for r in records)
@@ -356,9 +350,9 @@ def run(
 ) -> RunReport:
     """Run the full simulation: check the records, init, one tick per record, flush, analyse.
 
-    Rejects no records (``EmptyDatasetError``), a signal mapping that
-    names an attribute a record lacks (``InvalidConfigError``), and an
-    attribute outside [0, 1] or a repeated antigen id (``DatasetError``).
+    Rejects no records, an attribute outside [0, 1] or a repeated antigen
+    id (``DatasetError``), and a signal mapping that names an attribute a
+    record lacks (``InvalidConfigError``).
     A deterministic function of (config, records): identical inputs give
     identical reports, including every rng-dependent field.
     """

@@ -1,4 +1,4 @@
-"""Mutation gate: each of the 31 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 34 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -117,6 +117,16 @@ MUTANTS = [
     # A failed write leaves its temp file behind.
     Mutant("cli.py", "            os.unlink(tmp_name)\n", "            pass\n",
            ("tests/test_cli.py::TestRunCommand::test_failed_traced_run_leaves_no_trace_and_no_temp_file",)),
+    # The one check for zero records gone: run reaches min() of nothing.
+    Mutant("engine.py", "    if not records:\n", "    if False:\n",
+           ("tests/test_engine.py::TestRecordsCheck::test_empty_records_rejected",)),
+    # A dataset fault exits as a config fault.
+    Mutant("cli.py", 'parse failure in {data_path}: {exc}", file=sys.stderr)\n        return EXIT_DATA\n',
+           'parse failure in {data_path}: {exc}", file=sys.stderr)\n        return EXIT_CONFIG\n',
+           ("tests/test_cli.py::TestRunCommand::test_parse_failure_reports_line",)),
+    # A bad field echoed whole: 5000 characters make a 5000-character line.
+    Mutant("data_ingest.py", "{what} {brief(text)} is not ASCII digits", "{what} {text!r} is not ASCII digits",
+           ("tests/test_cli.py::TestDatasetGrammar::test_long_field_is_echoed_cut_short[5000_character_field]",)),
 ]
 
 

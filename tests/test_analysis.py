@@ -8,8 +8,6 @@ from hypothesis import example, given, strategies as st
 from dca_lab.agents import Category
 from dca_lab.analysis import (
     ClassificationResult,
-    EmptyResultsError,
-    ValueOutOfRangeError,
     build_histogram,
     compute_metrics,
 )
@@ -44,9 +42,9 @@ class TestBuildHistogram:
         assert all(a < b for a, b in zip(hist.edges, hist.edges[1:]))
 
     def test_value_out_of_range(self):
-        with pytest.raises(ValueOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^MCAV 1.2 outside \[0, 1\]$"):
             build_histogram([1.2], 10)
-        with pytest.raises(ValueOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^MCAV -0.1 outside \[0, 1\]$"):
             build_histogram([-0.1], 10)
 
     def test_bad_bin_count(self):
@@ -117,7 +115,7 @@ class TestComputeMetrics:
         assert metrics.mean_mcav_anomalous == 0.9
 
     def test_empty_results(self):
-        with pytest.raises(EmptyResultsError):
+        with pytest.raises(ValueError, match="^no classification results to score$"):
             compute_metrics([])
 
     @given(st.lists(st.tuples(st.floats(0, 1), st.booleans(), st.booleans()),

@@ -4,11 +4,13 @@ import contextlib
 import copy
 import functools
 import hashlib
+import importlib
 import io
 import json
 import math
 import operator
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -323,6 +325,16 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["dca-lab: engine fault: tick 3: DC 1 voted for antigen 2 which is not in flight"]
 
+    def test_one_error_class_per_exit_code(self):
+        # Exits 3, 4 and 5 each catch one class; a helper's misuse raises ValueError.
+        defined = {
+            obj.__name__
+            for module in pkgutil.iter_modules(dca_lab.__path__, "dca_lab.")
+            for obj in vars(importlib.import_module(module.name)).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.name
+        }
+        assert defined == {"DatasetError", "InvalidConfigError", "EngineFaultError"}
+
 
 VALID_MAPPING = {"pamp_sources": [0], "danger_sources": [1], "safe_sources": [2]}
 
@@ -468,6 +480,16 @@ class TestDatasetGrammar:
         assert code == EXIT_DATA
         assert len(lines) == 1 and lines[0].startswith("dca-lab: ") and fragment in lines[0], lines
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("field, fragment", [("9" * 4000, "line 2: value 999"), ("x" * 5000, "line 2: attribute 1 'xxx")],
+                             ids=["4000_digit_attribute", "5000_character_field"])
+    def test_long_field_is_echoed_cut_short(self, tmp_path, monkeypatch, field, fragment):
+        monkeypatch.chdir(tmp_path)  # a short path, so the line's length is the message's
+        Path("d.data").write_bytes(f"{ROW}\n1000026,{field},1,1,1,1,1,1,1,1,2\n".encode())
+        code, lines = run_in_process("d.data", "out")
+        assert code == EXIT_DATA
+        assert len(lines) == 1 and lines[0].startswith("dca-lab: ") and fragment in lines[0], lines
+        assert len(lines[0]) < 200, lines
 
 
 #: What a mutation may insert into a WBC file: separators and line breaks,

@@ -13,7 +13,7 @@ from conftest import make_records, oracle_kwargs, random_sim_setup, write_wbc_li
 from oracle import run_reference_dca
 
 from dca_lab.agents import AntigenAgent, Category, DCAgent
-from dca_lab.data_ingest import AntigenRecord, DatasetError, EmptyDatasetError, load_dataset
+from dca_lab.data_ingest import AntigenRecord, DatasetError, load_dataset
 from dca_lab.engine import (
     EngineFaultError,
     InvalidConfigError,
@@ -122,10 +122,6 @@ class TestInitWorld:
         rng = random.Random(0)
         with pytest.raises(InvalidConfigError):
             init_world(SimConfig(population_size=0), make_records(rng, 3, 9))
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(EmptyDatasetError):
-            init_world(SimConfig(), [])
 
     def test_pending_in_antigen_id_order(self):
         rng = random.Random(0)
@@ -385,6 +381,10 @@ class TestRun:
 
 class TestRecordsCheck:
     """``run`` checks its records once, before the first tick."""
+
+    def test_empty_records_rejected(self):
+        with pytest.raises(DatasetError, match="^cannot run on zero records$"):
+            run(SimConfig(), [])
 
     def test_mapping_index_equal_to_the_attribute_count_rejected(self):
         records = make_records(random.Random(9), 5, 2)
