@@ -29,7 +29,6 @@ class ClassificationResult(NamedTuple):
 class MCAVHistogram:
     """Equal-width histogram over [0, 1]; the top bin is right-closed."""
 
-    bin_count: int
     edges: tuple[float, ...]
     counts: tuple[int, ...]
 
@@ -71,7 +70,7 @@ def build_histogram(mcavs, bins: int = 10) -> MCAVHistogram:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"MCAV {v} outside [0, 1]")
         counts[min(bisect_right(edges, v) - 1, bins - 1)] += 1
-    return MCAVHistogram(bin_count=bins, edges=edges, counts=tuple(counts))
+    return MCAVHistogram(edges=edges, counts=tuple(counts))
 
 
 def compute_metrics(results) -> tuple[ConfusionCounts, Metrics]:

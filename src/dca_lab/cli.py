@@ -29,8 +29,8 @@ from typing import IO, Iterator
 from .agents import CATEGORY_TEXT
 from .analysis import ClassificationResult, MCAVHistogram
 from .data_ingest import DatasetError, DatasetSummary, load_dataset
-from .engine import CONFIG_FIELDS, MAX_SEED, EngineFaultError, RunReport, SimConfig, TraceLog, run
-from .schema import Field, InvalidConfigError, brief, expected_text
+from .engine import MAX_SEED, EngineFaultError, RunReport, SimConfig, TraceLog, run
+from .schema import Field, InvalidConfigError, brief, expected_text, rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,13 +41,13 @@ EXIT_IO = 6
 
 OUT_DIR_ENV_VAR = "DCA_LAB_OUT"
 
-def config_to_dict(config, fields: dict[str, Field] = CONFIG_FIELDS) -> dict:
-    """The JSON document of a SimConfig, or of one component given its sub-table."""
+def config_to_dict(config) -> dict:
+    """The JSON document of a SimConfig or of one of its components."""
     document = {}
-    for name, f in fields.items():
+    for name, f in rows(config).items():
         value = getattr(config, name)
-        if f.fields is not None:
-            value = config_to_dict(value, f.fields)
+        if dataclasses.is_dataclass(f.kind):
+            value = config_to_dict(value)
         elif f.length is not None:
             value = list(value)
         elif isinstance(value, Enum):
@@ -58,15 +58,15 @@ def config_to_dict(config, fields: dict[str, Field] = CONFIG_FIELDS) -> dict:
 
 def _from_json(value, f: Field, path: str):
     """The JSON value as its constructor takes it: a component for an object, a member for an enum's string."""
-    if f.fields is not None and isinstance(value, dict):
-        return config_from_dict(value, f.kind, f.fields, path)
+    if dataclasses.is_dataclass(f.kind) and isinstance(value, dict):
+        return config_from_dict(value, f.kind, path)
     if issubclass(f.kind, Enum) and value in [m.value for m in f.kind]:
         return f.kind(value)
     return value
 
 
-def config_from_dict(data, cls: type = SimConfig, fields: dict[str, Field] = CONFIG_FIELDS, path: str = ""):
-    """Build a SimConfig (or one component) from parsed JSON, by one walk over the table.
+def config_from_dict(data, cls: type = SimConfig, path: str = ""):
+    """Build a SimConfig (or one component) from parsed JSON, by one walk over its fields.
 
     Values must have their JSON kind exactly: integers are never bools or
     floats, flags are true or false. Nothing is coerced. Keys starting
@@ -77,14 +77,16 @@ def config_from_dict(data, cls: type = SimConfig, fields: dict[str, Field] = CON
     if not isinstance(data, dict):
         raise InvalidConfigError(f"config must be an object, got {brief(data)}")
     prefix = f"{path}." if path else ""
-    unknown = sorted(prefix + k for k in data if k not in fields and not k.startswith("_"))
+    declared = rows(cls)
+    unknown = sorted(prefix + k for k in data if k not in declared and not k.startswith("_"))
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {name: _from_json(data[name], f, prefix + name)
-              for name, f in fields.items() if name in data}
-    for d in dataclasses.fields(cls):  # a component field without a default is required
-        if d.name not in kwargs and d.default is d.default_factory is dataclasses.MISSING:
-            raise InvalidConfigError(f"{prefix}{d.name} is missing: expected {expected_text(fields[d.name])}")
+    kwargs = {}
+    for d in dataclasses.fields(cls):
+        if d.name in data:
+            kwargs[d.name] = _from_json(data[d.name], declared[d.name], prefix + d.name)
+        elif d.default is d.default_factory is dataclasses.MISSING:  # a component field without a default is required
+            raise InvalidConfigError(f"{prefix}{d.name} is missing: expected {expected_text(declared[d.name])}")
     try:
         return cls(**kwargs)
     except InvalidConfigError as exc:
@@ -126,7 +128,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_default_config(path: Path) -> None:
-    document = {"_notes": {name: f.note for name, f in CONFIG_FIELDS.items()}}
+    document = {"_notes": {name: f.note for name, f in rows(SimConfig).items()}}
     document.update(config_to_dict(SimConfig()))
     _atomic_write_text(path, json.dumps(document, indent=2) + "\n")
 
@@ -157,7 +159,7 @@ def histogram_csv_text(histogram: MCAVHistogram) -> str:
 
 def report_json_text(report: RunReport, summary: DatasetSummary) -> str:
     document = {
-        "seed": report.seed,
+        "seed": report.config_echo.seed,
         "config": config_to_dict(report.config_echo),
         "dataset_summary": {
             "rows_read": summary.rows_read,

@@ -54,9 +54,7 @@ class AntigenRecord(NamedTuple):
     true_label: Category
 
 
-_FINITE = Field(float, -sys.float_info.max, sys.float_info.max)
-#: ``AttributePolicy``'s config rows.
-POLICY_FIELDS = {"missing_value_policy": Field(MissingValuePolicy), "lo": _FINITE, "hi": _FINITE}
+_FINITE = {"row": Field(float, -sys.float_info.max, sys.float_info.max)}
 
 
 @dataclass(frozen=True)
@@ -69,12 +67,12 @@ class AttributePolicy:
     inf, every attribute would normalize to 0.0.
     """
 
-    missing_value_policy: MissingValuePolicy = MissingValuePolicy.SKIP_RECORD
-    lo: float = 1.0
-    hi: float = 10.0
+    missing_value_policy: MissingValuePolicy = field(default=MissingValuePolicy.SKIP_RECORD, metadata={"row": Field(MissingValuePolicy)})
+    lo: float = field(default=1.0, metadata=_FINITE)
+    hi: float = field(default=10.0, metadata=_FINITE)
 
     def __post_init__(self):
-        check(self, POLICY_FIELDS)
+        check(self)
         if not 0.0 < self.hi - self.lo < math.inf:
             raise InvalidConfigError(f"lo must be below hi, with hi - lo finite, got [{self.lo}, {self.hi}]")
 

@@ -65,13 +65,10 @@ from .analysis import (
     build_histogram,
     compute_metrics,
 )
-from .data_ingest import POLICY_FIELDS, AntigenRecord, AttributePolicy, DatasetError
+from .data_ingest import AntigenRecord, AttributePolicy, DatasetError
 from .schema import Field, InvalidConfigError, check
 from .signal_model import (
     DEFAULT_WEIGHT_MATRIX,
-    MAPPING_FIELDS,
-    MAX_WEIGHT,  # noqa: F401  (importable from here, beside MAX_SIZE)
-    WEIGHT_FIELDS,
     SignalMapping,
     WeightMatrix,
     default_signal_mapping,
@@ -89,40 +86,25 @@ class EngineFaultError(RuntimeError):
     """An agent contract was violated mid-run; the simulation aborts and the CLI exits 5."""
 
 
-#: The config schema: one row per field, in ``SimConfig`` field order.
-#: ``SimConfig`` checks its own values against it, and each component
-#: against its sub-table; the CLI's JSON reader and writer and
-#: ``gen-config`` walk it. Thresholds must be > 0, so their lower bound is
-#: the smallest positive float.
-CONFIG_FIELDS: dict[str, Field] = {
-    "population_size": Field(int, 1, MAX_SIZE, note="number of DC agents alive at any instant (constant)"),
-    "dcs_per_antigen": Field(int, 1, MAX_SIZE, note="distinct DCs each antigen is presented to (its vote count)"),
-    "threshold_range": Field(float, math.ulp(0.0), sys.float_info.max, length=2, note="[t_min, t_max] for the per-DC migration threshold, drawn uniformly"),
-    "weight_matrix": Field(WeightMatrix, fields=WEIGHT_FIELDS, note="per input signal: weights onto (csm, semi, mat); shipped values are a documented default, not a fitted result; the csm column must be nonnegative"),
-    "signal_mapping": Field(SignalMapping, fields=MAPPING_FIELDS, note="attribute indices feeding each input signal; safe_is_complement inverts the safe source mean"),
-    "anomalous_threshold": Field(float, 0.0, 1.0, note="MCAV cutoff; an antigen is anomalous iff its MCAV strictly exceeds it"),
-    "histogram_bins": Field(int, 1, MAX_SIZE, note="equal-width MCAV histogram bins over [0, 1]"),
-    "attribute_policy": Field(AttributePolicy, fields=POLICY_FIELDS, note="missing_value_policy is skip_record or impute_median; lo/hi are the fixed min-max normalization bounds"),
-    "seed": Field(int, 0, MAX_SEED, note="64-bit unsigned rng seed; identical seed + inputs reproduce a run exactly"),
-}
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Full run configuration; every field has a shipped default.
 
-    Construction validates: an instance that exists is a valid config.
+    Each field carries its schema row, which the CLI's JSON reader and
+    writer and ``gen-config`` read too. Thresholds must be > 0, so their
+    lower bound is the smallest positive float. Construction validates:
+    an instance that exists is a valid config.
     """
 
-    population_size: int = 100
-    dcs_per_antigen: int = 10
-    threshold_range: tuple[float, float] = (100.0, 300.0)
-    weight_matrix: WeightMatrix = DEFAULT_WEIGHT_MATRIX
-    signal_mapping: SignalMapping = field(default_factory=default_signal_mapping)
-    anomalous_threshold: float = 0.5
-    histogram_bins: int = 10
-    attribute_policy: AttributePolicy = field(default_factory=AttributePolicy)
-    seed: int = 0
+    population_size: int = field(default=100, metadata={"row": Field(int, 1, MAX_SIZE, note="number of DC agents alive at any instant (constant)")})
+    dcs_per_antigen: int = field(default=10, metadata={"row": Field(int, 1, MAX_SIZE, note="distinct DCs each antigen is presented to (its vote count)")})
+    threshold_range: tuple[float, float] = field(default=(100.0, 300.0), metadata={"row": Field(float, math.ulp(0.0), sys.float_info.max, length=2, note="[t_min, t_max] for the per-DC migration threshold, drawn uniformly")})
+    weight_matrix: WeightMatrix = field(default=DEFAULT_WEIGHT_MATRIX, metadata={"row": Field(WeightMatrix, note="per input signal: weights onto (csm, semi, mat); shipped values are a documented default, not a fitted result; the csm column must be nonnegative")})
+    signal_mapping: SignalMapping = field(default_factory=default_signal_mapping, metadata={"row": Field(SignalMapping, note="attribute indices feeding each input signal; safe_is_complement inverts the safe source mean")})
+    anomalous_threshold: float = field(default=0.5, metadata={"row": Field(float, 0.0, 1.0, note="MCAV cutoff; an antigen is anomalous iff its MCAV strictly exceeds it")})
+    histogram_bins: int = field(default=10, metadata={"row": Field(int, 1, MAX_SIZE, note="equal-width MCAV histogram bins over [0, 1]")})
+    attribute_policy: AttributePolicy = field(default_factory=AttributePolicy, metadata={"row": Field(AttributePolicy, note="missing_value_policy is skip_record or impute_median; lo/hi are the fixed min-max normalization bounds")})
+    seed: int = field(default=0, metadata={"row": Field(int, 0, MAX_SEED, note="64-bit unsigned rng seed; identical seed + inputs reproduce a run exactly")})
 
     def __post_init__(self):
         self.validate()
@@ -132,7 +114,7 @@ class SimConfig:
 
         A component row checks only the kind: components check themselves.
         """
-        check(self, CONFIG_FIELDS)
+        check(self)
         if self.dcs_per_antigen > self.population_size:
             raise InvalidConfigError(f"dcs_per_antigen must be in [1, population_size={self.population_size}], got {self.dcs_per_antigen}")
         t_min, t_max = self.threshold_range
@@ -164,7 +146,6 @@ class RunReport:
     metrics: Metrics
     histogram: MCAVHistogram
     config_echo: SimConfig
-    seed: int
 
 
 class TraceLog:
@@ -370,5 +351,4 @@ def run(
         metrics=metrics,
         histogram=histogram,
         config_echo=config,
-        seed=config.seed,
     )

@@ -1,12 +1,15 @@
 """The config schema's rules: one row per field, and the one check of a value against its row.
 
-Each config class declares its rows next to itself and calls ``check`` in
-``__post_init__``, so a value is checked once, by the same code, whether
-it arrives through Python, the CLI's JSON reader or ``dataclasses.replace``.
+Each config class declares a field's row in the field itself, as
+``dataclasses.field(metadata={"row": Field(...)})``, and calls ``check``
+in ``__post_init__``, so a value is checked once, by the same code,
+whether it arrives through Python, the CLI's JSON reader or
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import reprlib
 from types import EllipsisType
 from typing import NamedTuple
@@ -19,8 +22,8 @@ class InvalidConfigError(ValueError):
 class Field(NamedTuple):
     """One config field: its JSON kind, inclusive bounds and ``gen-config`` note.
 
-    ``kind`` is int, float, bool, an Enum, or the component class that the
-    sub-table ``fields`` builds. With ``length`` the field is an array of
+    ``kind`` is int, float, bool, an Enum, or a component: a config class
+    whose own fields carry rows. With ``length`` the field is an array of
     that many values (``...``: any number). Defaults come from the classes.
     """
 
@@ -28,8 +31,18 @@ class Field(NamedTuple):
     lo: float | None = None
     hi: float | None = None
     length: int | EllipsisType | None = None
-    fields: dict[str, Field] | None = None
     note: str | None = None
+
+
+def rows(cls_or_obj) -> dict[str, Field]:
+    """A config class's rows by field name, in field order; a field without a row is a fault."""
+    found = {}
+    for d in dataclasses.fields(cls_or_obj):
+        if "row" not in d.metadata:
+            cls = cls_or_obj if isinstance(cls_or_obj, type) else type(cls_or_obj)
+            raise TypeError(f"{cls.__name__}.{d.name} has no schema row")
+        found[d.name] = d.metadata["row"]
+    return found
 
 
 _KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false"}
@@ -38,7 +51,7 @@ _KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false"}
 def expected_text(f: Field) -> str:
     """What a field's value must be, in words that fit both its JSON document and its class."""
     name = f.kind.__name__
-    if f.fields is not None:
+    if dataclasses.is_dataclass(f.kind):
         return f"{'an' if name[0] in 'AEIOU' else 'a'} {name}"
     one = _KIND_TEXT.get(f.kind) or "one of " + ", ".join(repr(m.value) for m in f.kind) + f" (a {name})"
     if f.length is None:
@@ -62,14 +75,14 @@ def brief(value) -> str:
         return "a value too long to print"
 
 
-def check(obj, fields: dict[str, Field]) -> None:
+def check(obj) -> None:
     """Check each of ``obj``'s values against its row; only then store it converted.
 
     A value must have its row's kind (an array: a list or tuple of the
     row's length, each item of that kind) and lie within its bounds. An
     array is then stored as a tuple, and a number in a float row as a float.
     """
-    for name, f in fields.items():
+    for name, f in rows(obj).items():
         value = getattr(obj, name)
         items = (value,) if f.length is None else value
         shaped = f.length is None or isinstance(value, (list, tuple)) and f.length in (..., len(value))

@@ -14,10 +14,10 @@ straight-line reference implementation used in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .schema import Field, InvalidConfigError, check
+from .schema import Field, InvalidConfigError, check, rows
 
 #: Input signals live on [0, SIGNAL_SCALE]. The scale is arbitrary; it only
 #: gives migration thresholds an intuitive magnitude.
@@ -38,9 +38,7 @@ class CumulativeSignals:
     cum_mat: float = 0.0
 
 
-_SOURCES = Field(int, length=...)
-#: ``SignalMapping``'s config rows.
-MAPPING_FIELDS = {"pamp_sources": _SOURCES, "danger_sources": _SOURCES, "safe_sources": _SOURCES, "safe_is_complement": Field(bool)}
+_SOURCES = {"row": Field(int, length=...)}
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,13 @@ class SignalMapping:
     normality while high values suppress the safe signal.
     """
 
-    pamp_sources: tuple[int, ...]
-    danger_sources: tuple[int, ...]
-    safe_sources: tuple[int, ...]
-    safe_is_complement: bool = True
+    pamp_sources: tuple[int, ...] = field(metadata=_SOURCES)
+    danger_sources: tuple[int, ...] = field(metadata=_SOURCES)
+    safe_sources: tuple[int, ...] = field(metadata=_SOURCES)
+    safe_is_complement: bool = field(default=True, metadata={"row": Field(bool)})
 
     def __post_init__(self):
-        check(self, MAPPING_FIELDS)
+        check(self)
         for name in ("pamp_sources", "danger_sources", "safe_sources"):
             sources = getattr(self, name)
             if not sources:
@@ -67,9 +65,7 @@ class SignalMapping:
                 raise InvalidConfigError(f"{name} contains negative index {min(sources)}")
 
 
-_WEIGHTS = Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)
-#: ``WeightMatrix``'s config rows.
-WEIGHT_FIELDS = {"pamp": _WEIGHTS, "danger": _WEIGHTS, "safe": _WEIGHTS}
+_WEIGHTS = {"row": Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)}
 
 
 @dataclass(frozen=True)
@@ -80,13 +76,13 @@ class WeightMatrix:
     cumulative csm never decreases and migration stays reachable.
     """
 
-    pamp: tuple[float, float, float]
-    danger: tuple[float, float, float]
-    safe: tuple[float, float, float]
+    pamp: tuple[float, float, float] = field(metadata=_WEIGHTS)
+    danger: tuple[float, float, float] = field(metadata=_WEIGHTS)
+    safe: tuple[float, float, float] = field(metadata=_WEIGHTS)
 
     def __post_init__(self):
-        check(self, WEIGHT_FIELDS)
-        for name in WEIGHT_FIELDS:
+        check(self)
+        for name in rows(self):
             csm = getattr(self, name)[0]
             if csm < 0.0:
                 raise InvalidConfigError(f"{name}[0], the csm weight, must be nonnegative, got {csm}")

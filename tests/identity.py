@@ -10,8 +10,8 @@ Every run goes through ``dca_lab.cli.main`` in-process, with ``--trace``,
 and ``results.csv``, ``report.json``, ``histogram.csv`` and ``trace.csv``
 are hashed. Two sets of runs are checked:
 
-* ``corpus``: the six configs in ``SCENARIOS`` on
-  ``write_wbc_like_file(seed=7)``, 24 files; ``tests/test_golden.py``
+* ``corpus``: the seven configs in ``SCENARIOS`` on
+  ``write_wbc_like_file(seed=7)``, 28 files; ``tests/test_golden.py``
   checks the same files in tier-1;
 * ``workloads``: the four ``benchmarks/bench.py`` workloads at seed 1, on
   the rows and the full config the benchmark generates, 16 files.
@@ -38,12 +38,14 @@ MANIFEST = TESTS / "golden.json"
 OUTPUTS = ("results.csv", "report.json", "histogram.csv", "trace.csv")
 
 #: The corpus: config documents (defaults fill the rest) for runs on
-#: ``write_wbc_like_file(seed=7)``. They cover the default regime, a
-#: population much larger than the stream, every DC picked each tick
-#: under imputation, a single DC, thresholds no DC reaches (every vote
-#: comes from the flush) and a mapping whose three lists differ.
+#: ``write_wbc_like_file(seed=7)``. They cover the default regime under
+#: each missing-value policy, a population much larger than the stream,
+#: every DC picked each tick under imputation, a single DC, thresholds no
+#: DC reaches (every vote comes from the flush) and a mapping whose three
+#: lists differ.
 SCENARIOS = {
     "default": {"seed": 11},
+    "impute_median": {"attribute_policy": {"missing_value_policy": "impute_median"}, "seed": 11},
     "n1000": {"population_size": 1000, "seed": 11},
     "k_equals_n_impute": {
         "population_size": 7,

@@ -1,4 +1,4 @@
-"""Mutation gate: each of the 34 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 35 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -56,6 +56,9 @@ MUTANTS = [
            ("tests/test_cli.py::TestConfigCodec::test_round_trip_defaults",)),
     Mutant("cli.py", "raise InvalidConfigError(prefix + str(exc)) from None", "raise",
            ("tests/test_schema.py::test_python_and_json_reject_with_one_message",)),
+    # Any JSON object is read as a component: {"seed": {}} crashes with TypeError.
+    Mutant("cli.py", "    if dataclasses.is_dataclass(f.kind) and isinstance(value, dict):\n", "    if isinstance(value, dict):\n",
+           ("tests/test_cli.py::TestRejectedInputs::test_config_value_rejected_with_exit_4[object_seed]",)),
     Mutant("agents.py", "    bits = n.bit_length()\n", "    bits = (n - 1).bit_length()\n",
            ("tests/test_agents.py::TestOwnedDraws::test_below_matches_randrange",)),
     Mutant("engine.py", "t_min + (t_max - t_min) * world.rng.random()", "t_max - (t_max - t_min) * world.rng.random()",
@@ -64,12 +67,12 @@ MUTANTS = [
     Mutant("agents.py", "swapped[j] = swapped.pop(i, i)", "swapped[j] = i",
            ("tests/test_agents.py::TestSampleDcs::test_matches_dense_shuffle_and_rng_state",)),
     Mutant("engine.py", "pick,{ag.antigen_id};{dc.dc_id},", "pick,{ag.antigen_id};{dc.dc_id}",
-           ("tests/test_trace.py::test_trace_bytes_are_pinned",)),
+           ("tests/test_golden.py::test_corpus_bytes_are_pinned[default]",)),
     Mutant("cli.py", "{mcav:.6f}", "{mcav:.6g}",
-           ("tests/test_output_bytes.py::test_output_bytes_are_pinned",)),
+           ("tests/test_golden.py::test_corpus_bytes_are_pinned[default]",)),
     # Every row of results.csv reuses the text of the first MCAV seen.
     Mutant("cli.py", "text = mcav_text.get(mcav)", "text = next(iter(mcav_text.values()), None)",
-           ("tests/test_output_bytes.py::test_output_bytes_are_pinned",)),
+           ("tests/test_golden.py::test_corpus_bytes_are_pinned[impute_median]",)),
     Mutant("analysis.py", "counts[min(bisect_right(edges, v) - 1, bins - 1)]", "counts[min(int(v * bins), bins - 1)]",
            ("tests/test_analysis.py::TestBuildHistogram::test_every_mcav_lands_between_its_bin_edges",)),
     # median_high in place of median_low.

@@ -33,7 +33,8 @@ from dca_lab.cli import (
     config_to_dict,
     main,
 )
-from dca_lab.engine import MAX_SIZE, MAX_WEIGHT, EngineFaultError, InvalidConfigError, SimConfig
+from dca_lab.engine import MAX_SIZE, EngineFaultError, InvalidConfigError, SimConfig
+from dca_lab.signal_model import MAX_WEIGHT
 
 
 def write_dataset(path, rows=12, seed=1):
@@ -371,6 +372,8 @@ REJECTED_CONFIGS = {
     ),
     "string_anomalous_threshold": ('{"anomalous_threshold": "0.5"}', "anomalous_threshold"),
     "policy_not_an_object": ('{"attribute_policy": [1]}', "attribute_policy"),
+    # An object is read as a component only where the field is one.
+    "object_seed": ('{"seed": {}}', "seed must be an integer, got {}"),
     "overflowing_policy_span": ('{"attribute_policy": {"lo": -1e308, "hi": 1e308}}', "attribute_policy"),
     # Unknown keys are rejected at every depth, by dotted path.
     "misspelled_policy_key": (

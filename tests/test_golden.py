@@ -1,4 +1,4 @@
-"""The golden corpus: 24 output files of six configs keep the bytes pinned in ``tests/golden.json``.
+"""The golden corpus: 28 output files of seven configs keep the bytes pinned in ``tests/golden.json``.
 
 ``tests/identity.py`` checks the same files, plus the four benchmark
 workloads, under any interpreter; this test runs the corpus in tier-1.

@@ -1,13 +1,15 @@
 """One check per config value: the schema rows decide, however a value arrives."""
 
 import dataclasses
+import json
 import math
 
 import pytest
 
-from dca_lab.cli import config_from_dict, config_to_dict
+from dca_lab.cli import EXIT_OK, config_from_dict, config_to_dict, main
 from dca_lab.data_ingest import AttributePolicy, MissingValuePolicy
-from dca_lab.engine import CONFIG_FIELDS, InvalidConfigError, SimConfig
+from dca_lab.engine import InvalidConfigError, SimConfig
+from dca_lab.schema import Field, check, rows
 from dca_lab.signal_model import SignalMapping, WeightMatrix
 
 WEIGHTS = {"danger": (1, 0, 1), "safe": (2, 3, -3)}
@@ -44,6 +46,36 @@ def test_python_built_component_is_checked_against_its_rows(build, fragment):
     with pytest.raises(InvalidConfigError) as excinfo:
         build()
     assert str(excinfo.value).startswith(fragment)
+
+
+def test_a_field_without_a_row_fails_loudly():
+    """A field declared without its row is a fault of the class, not a value left unchecked."""
+
+    @dataclasses.dataclass(frozen=True)
+    class HalfDeclared:
+        checked: int = dataclasses.field(default=1, metadata={"row": Field(int, 0, 9)})
+        unchecked: int = 2
+
+        def __post_init__(self):
+            check(self)
+
+    with pytest.raises(TypeError, match=r"^HalfDeclared\.unchecked has no schema row$"):
+        HalfDeclared()
+    with pytest.raises(TypeError, match="HalfDeclared.unchecked"):
+        rows(HalfDeclared)
+
+
+def test_every_field_is_written_and_noted(tmp_path):
+    """The JSON document, each component's object and gen-config's notes have one key per field, in order."""
+    config, document = SimConfig(), config_to_dict(SimConfig())
+    names = [d.name for d in dataclasses.fields(SimConfig)]
+    assert list(document) == names
+    components = [name for name in names if dataclasses.is_dataclass(getattr(config, name))]
+    assert len(components) == 3
+    for name in components:
+        assert list(document[name]) == [d.name for d in dataclasses.fields(getattr(config, name))]
+    assert main(["gen-config", "--out", str(tmp_path / "config.json")]) == EXIT_OK
+    assert list(json.loads((tmp_path / "config.json").read_text())["_notes"]) == names
 
 
 def test_long_values_are_echoed_short():
@@ -93,11 +125,11 @@ def _bad_values(f, valid):
 def _leaf_cases():
     """(component row or None, field name, bad value) for every leaf row of the schema."""
     document = config_to_dict(SimConfig())
-    for row, f in CONFIG_FIELDS.items():
-        if f.fields is None:
+    for row, f in rows(SimConfig).items():
+        if not dataclasses.is_dataclass(f.kind):
             cases = [(None, row, f, document[row])]
         else:
-            cases = [(row, name, leaf, document[row][name]) for name, leaf in f.fields.items()]
+            cases = [(row, name, leaf, document[row][name]) for name, leaf in rows(f.kind).items()]
         for component, name, leaf, valid in cases:
             path = name if component is None else f"{component}.{name}"
             for i, bad in enumerate(_bad_values(leaf, valid)):
@@ -113,7 +145,7 @@ def test_python_and_json_reject_with_one_message(component, name, bad):
         document[name] = bad
     else:
         default = getattr(SimConfig(), component)
-        kwargs = {n: getattr(default, n) for n in CONFIG_FIELDS[component].fields}
+        kwargs = {n: getattr(default, n) for n in rows(default)}
         build, prefix = (lambda: type(default)(**dict(kwargs, **{name: bad}))), f"{component}."
         document[component][name] = bad
     with pytest.raises(InvalidConfigError) as python_error:
