@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .agents import Category
@@ -61,51 +64,61 @@ def build_histogram(mcavs, bins: int = 10) -> MCAVHistogram:
     edges[i] = i / bins as a float, and v = 1.0 falls in the last bin, so
     a value always lands between the bounds ``histogram.csv`` prints for
     its bin. (``int(v * bins)`` does not: 7/10 * 90 rounds to 62.99...)
+    ``mcavs`` is any iterable; each distinct value is checked and binned once.
     """
     if bins < 1:
         raise ValueError(f"bin count must be >= 1, got {bins}")
     edges = tuple(i / bins for i in range(bins + 1))
     counts = [0] * bins
-    for v in mcavs:
+    for v, n in Counter(mcavs).items():
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"MCAV {v} outside [0, 1]")
-        counts[min(bisect_right(edges, v) - 1, bins - 1)] += 1
+        counts[min(bisect_right(edges, v) - 1, bins - 1)] += n
     return MCAVHistogram(edges=edges, counts=tuple(counts))
 
 
+def _mean(counts: Counter) -> float | None:
+    """The mean of the counted values: ``math.fsum`` over each value repeated by its count."""
+    if not counts:
+        return None
+    return math.fsum(chain.from_iterable(map(repeat, counts, counts.values()))) / counts.total()
+
+
 def compute_metrics(results) -> tuple[ConfusionCounts, Metrics]:
-    """Confusion counts, accuracy, guarded rates, and per-class mean MCAVs."""
+    """Confusion counts, accuracy, guarded rates, and per-class mean MCAVs.
+
+    Each distinct (mcav, predicted, actual) is counted once. The means are
+    bit-identical to ``fsum`` over the plain per-result list: fsum rounds the
+    exact sum once, so neither the order nor the grouping of the values
+    matters, and it never returns -0.0, so a 0.0 counted with a -0.0 is no
+    change either.
+    """
     if not results:
         raise ValueError("no classification results to score")
 
     tp = tn = fp = fn = 0
-    normal_mcavs: list[float] = []
-    anomalous_mcavs: list[float] = []
-    for r in results:
-        if r.actual is Category.ANOMALOUS:
-            anomalous_mcavs.append(r.mcav)
-            if r.predicted is Category.ANOMALOUS:
-                tp += 1
+    normal_mcavs: Counter = Counter()
+    anomalous_mcavs: Counter = Counter()
+    for (mcav, predicted, actual), n in Counter(map(attrgetter("mcav", "predicted", "actual"), results)).items():
+        if actual is Category.ANOMALOUS:
+            anomalous_mcavs[mcav] += n
+            if predicted is Category.ANOMALOUS:
+                tp += n
             else:
-                fn += 1
+                fn += n
         else:
-            normal_mcavs.append(r.mcav)
-            if r.predicted is Category.ANOMALOUS:
-                fp += 1
+            normal_mcavs[mcav] += n
+            if predicted is Category.ANOMALOUS:
+                fp += n
             else:
-                tn += 1
+                tn += n
 
     confusion = ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
-    # fsum keeps the means exactly permutation-invariant.
     metrics = Metrics(
         accuracy=(tp + tn) / confusion.total,
         true_positive_rate=tp / (tp + fn) if tp + fn else None,
         false_positive_rate=fp / (fp + tn) if fp + tn else None,
-        mean_mcav_normal=(
-            math.fsum(normal_mcavs) / len(normal_mcavs) if normal_mcavs else None
-        ),
-        mean_mcav_anomalous=(
-            math.fsum(anomalous_mcavs) / len(anomalous_mcavs) if anomalous_mcavs else None
-        ),
+        mean_mcav_normal=_mean(normal_mcavs),
+        mean_mcav_anomalous=_mean(anomalous_mcavs),
     )
     return confusion, metrics

@@ -134,19 +134,19 @@ def write_default_config(path: Path) -> None:
 
 
 def results_csv_text(results: list[ClassificationResult]) -> str:
-    """One row per result, each distinct MCAV's 6-decimal text formatted once.
+    """One row per result, each distinct ``,mcav,predicted,actual`` tail formatted once.
 
-    A run's MCAVs take only the values j/k. The text is looked up by value,
-    so a -0.0 after a 0.0 would print as 0.000000; a run never yields -0.0,
-    since ones / received is +0.0 when no bit is 1.
+    A run's MCAVs take only the values j/k. The tail is looked up by value,
+    so a -0.0 after a 0.0 with the same labels would print as 0.000000; a
+    run never yields -0.0, since ones / received is +0.0 when no bit is 1.
     """
     lines = ["antigen_id,mcav,predicted,actual"]
-    mcav_text: dict[float, str] = {}
+    tails: dict[tuple, str] = {}
     for antigen_id, mcav, predicted, actual in results:
-        text = mcav_text.get(mcav)
-        if text is None:
-            text = mcav_text[mcav] = f"{mcav:.6f}"
-        lines.append(f"{antigen_id},{text},{CATEGORY_TEXT[predicted]},{CATEGORY_TEXT[actual]}")
+        tail = tails.get((mcav, predicted, actual))
+        if tail is None:
+            tail = tails[mcav, predicted, actual] = f",{mcav:.6f},{CATEGORY_TEXT[predicted]},{CATEGORY_TEXT[actual]}"
+        lines.append(f"{antigen_id}{tail}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,8 +18,9 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
-from typing import Iterable, NamedTuple
+from itertools import accumulate, compress, count, repeat
+from operator import attrgetter, countOf
+from typing import BinaryIO, Iterable, NamedTuple
 
 from .agents import Category
 from .schema import Field, InvalidConfigError, brief, check
@@ -136,73 +137,94 @@ def _ascii_int(text: str, what: str) -> int:
     raise DatasetError(f"{what} {brief(text)} is not ASCII digits")
 
 
-#: The class tokens a row may carry as they are, and whether each marks an
-#: anomalous row. Any other spelling of 2 or 4 in ASCII digits (``02``)
-#: is read by ``_ascii_int``.
-_CLASS_TOKENS = {str(NORMAL_CLASS_CODE): False, str(ANOMALOUS_CLASS_CODE): True}
-
-#: One parsed row: line number, sample id, attribute values (None where
-#: missing) and whether the class code is the anomalous one.
-_Row = tuple[int, int, tuple[int | None, ...], bool]
+#: The label each class code stands for.
+_LABELS = {NORMAL_CLASS_CODE: Category.NORMAL, ANOMALOUS_CLASS_CODE: Category.ANOMALOUS}
 
 
-def _read_rows(lines: list[str]) -> list[_Row]:
-    """Each row's sample id, attribute values (None where missing) and class.
-
-    Attribute tokens are looked up in a table that learns each new one.
-    A row's first fault is raised with its line number, in field order:
-    the field count, the sample id, the attributes left to right, the
-    class code.
-    """
-    tokens: dict[str, int | None] = {MISSING_MARKER: None}
-    token_value = tokens.__getitem__
-    rows: list[_Row] = []
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            line = line.removesuffix("\r")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != FIELD_COUNT:
-                raise DatasetError(f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
-            sample_id = _ascii_int(fields[0], "sample id")
-            attributes = fields[1:-1]
-            try:
-                values = tuple(map(token_value, attributes))
-            except KeyError:
-                for i, text in enumerate(attributes, start=1):
-                    if text not in tokens:
-                        tokens[text] = _ascii_int(text, f"attribute {i}")
-                values = tuple(map(token_value, attributes))
-            anomalous = _CLASS_TOKENS.get(fields[-1])
-            if anomalous is None:
-                code = _ascii_int(fields[-1], "class code")
-                if code not in (NORMAL_CLASS_CODE, ANOMALOUS_CLASS_CODE):
-                    raise DatasetError(
-                        f"class code must be {NORMAL_CLASS_CODE} or {ANOMALOUS_CLASS_CODE}, got {code}"
-                    )
-                anomalous = code == ANOMALOUS_CLASS_CODE
-            rows.append((lineno, sample_id, values, anomalous))
-    except DatasetError as exc:
-        raise DatasetError(f"line {lineno}: {exc}") from exc
-    return rows
-
-
-def _median_low(counts: Counter) -> int:
-    """``statistics.median_low`` of the counted values: the one at sorted index (n - 1) // 2."""
-    values = sorted(counts)
+def _median_low(counts: Counter, key=None):
+    """``statistics.median_low`` of the counted items, ordered by ``key``: the one at sorted index (n - 1) // 2."""
+    values = sorted(counts, key=key)
     ends = list(accumulate(counts[v] for v in values))  # ends[j]: how many are <= values[j]
     return values[bisect_right(ends, (ends[-1] - 1) // 2)]
 
 
-def _column_medians(rows: list[_Row]) -> list[int]:
-    """Per-column median of the non-missing values; even counts take the lower middle.
+def _positions(items: list, item) -> list[int]:
+    """Every index of ``item`` in ``items``, found by one scan at C speed."""
+    found = [-1]
+    try:
+        while True:
+            found.append(items.index(item, found[-1] + 1))
+    except ValueError:
+        return found[1:]
 
-    Each column is counted per distinct value, which is cheap because the
-    attributes take only a few distinct values.
+
+def _read_columns(lines: list[str], policy: AttributePolicy) -> tuple[list[AntigenRecord], int] | None:
+    """The records and row count of a file without a fault, read by columns; None for any other file.
+
+    Blank lines are dropped, every line is checked for ten commas, and all
+    fields are split at once. Sample ids and class tokens are carved off by
+    extended slices, leaving the attribute tokens row after row. Each
+    distinct token is parsed and normalized once, and a missing attribute
+    takes its column's median or drops its row. No step loops over the rows
+    in Python, and none names a fault: ``_raise_first_fault`` re-walks a
+    declined file for that.
     """
+    rows = list(filter(None, map(str.removesuffix, lines, repeat("\r"))))
+    if set(map(str.count, rows, repeat(","))) != {FIELD_COUNT - 1}:
+        return None
+    fields = ",".join(rows).split(",")
+    sample_ids = fields[::FIELD_COUNT]
+    class_tokens = fields[FIELD_COUNT - 1 :: FIELD_COUNT]
+    del fields[FIELD_COUNT - 1 :: FIELD_COUNT], fields[:: FIELD_COUNT - 1]
+    id_digits = "".join(sample_ids)
+    if not (id_digits.isdigit() and id_digits.isascii()):
+        return None
+    tokens = set(fields)
+    try:
+        sample_ids = list(map(int, sample_ids))  # ValueError: an empty id, or more digits than int() converts
+        label = {t: _LABELS[_ascii_int(t, "class code")] for t in set(class_tokens)}
+        value = {t: _ascii_int(t, "attribute") for t in tokens - {MISSING_MARKER}}
+    except (ValueError, KeyError):  # DatasetError is a ValueError
+        return None
+    lo, hi = policy.lo, policy.hi
+    normalized = {t: normalize_attribute(v, lo, hi) for t, v in value.items() if lo <= v <= hi}
+    out_of_range = value.keys() - normalized.keys()
+    normalized.update(dict.fromkeys(out_of_range | {MISSING_MARKER}))  # None marks a value no kept row may hold
+    missing = _positions(fields, MISSING_MARKER) if MISSING_MARKER in tokens else []
+    skipped: set[int] = set()
+    if policy.missing_value_policy is MissingValuePolicy.IMPUTE_MEDIAN:
+        if out_of_range:
+            return None
+        fill = {}
+        for column in {p % ATTRIBUTE_COUNT for p in missing}:
+            counts = Counter(fields[column::ATTRIBUTE_COUNT])
+            del counts[MISSING_MARKER]
+            if not counts:
+                return None
+            fill[column] = _median_low(counts, key=value.__getitem__)
+        for p in missing:
+            fields[p] = fill[p % ATTRIBUTE_COUNT]
+    else:
+        skipped = {p // ATTRIBUTE_COUNT for p in missing}
+        if any(p // ATTRIBUTE_COUNT not in skipped for t in out_of_range for p in _positions(fields, t)):
+            return None
+    attributes = list(zip(*[map(normalized.__getitem__, fields)] * ATTRIBUTE_COUNT))
+    del fields  # its tokens go before the records come, which keeps the peak memory down
+    columns = sample_ids, attributes, map(label.__getitem__, class_tokens)
+    if skipped:
+        keep = [True] * len(sample_ids)
+        for row in skipped:
+            keep[row] = False
+        columns = [compress(column, keep) for column in columns]
+    # tuple.__new__ builds each record in C, as AntigenRecord._make does.
+    records = list(map(tuple.__new__, repeat(AntigenRecord), zip(count(), *columns)))
+    return (records, len(rows)) if records else None
+
+
+def _column_medians(rows: list[tuple[int | None, ...]]) -> list[int]:
+    """Per-column median of the non-missing values; even counts take the lower middle."""
     medians: list[int] = []
-    for col, column in enumerate(zip(*(values for _, _, values, _ in rows)), start=1):
+    for col, column in enumerate(zip(*rows), start=1):
         counts = Counter(column)
         del counts[None]
         if not counts:
@@ -213,8 +235,52 @@ def _column_medians(rows: list[_Row]) -> list[int]:
     return medians
 
 
+def _raise_first_fault(lines: list[str], policy: AttributePolicy) -> None:
+    """Raise the fault that reading the file row by row meets first; return if it has none.
+
+    Faults come in this order: the first parse error in file order, then a
+    column with nothing to impute from, then the first out-of-range value
+    in the order of the kept rows, then a file that keeps no row. A row's
+    parse error is its first faulty field: the field count, the sample id,
+    the attributes left to right, the class code. Parse errors and values
+    out of range carry their 1-based line number.
+    """
+    rows: list[tuple[int, tuple[int | None, ...]]] = []
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.removesuffix("\r")
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != FIELD_COUNT:
+                raise DatasetError(f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
+            _ascii_int(fields[0], "sample id")
+            values = tuple(
+                None if t == MISSING_MARKER else _ascii_int(t, f"attribute {i}")
+                for i, t in enumerate(fields[1:-1], start=1)
+            )
+            code = _ascii_int(fields[-1], "class code")
+            if code not in _LABELS:
+                raise DatasetError(f"class code must be {NORMAL_CLASS_CODE} or {ANOMALOUS_CLASS_CODE}, got {code}")
+            rows.append((lineno, values))
+    except DatasetError as exc:
+        raise DatasetError(f"line {lineno}: {exc}") from exc
+    if policy.missing_value_policy is MissingValuePolicy.IMPUTE_MEDIAN:
+        medians = _column_medians([values for _, values in rows])
+        rows = [(n, tuple(medians[i] if v is None else v for i, v in enumerate(values))) for n, values in rows]
+    kept = [(lineno, values) for lineno, values in rows if None not in values]
+    for lineno, values in kept:
+        try:
+            for v in values:
+                normalize_attribute(v, policy.lo, policy.hi)
+        except DatasetError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from exc
+    if not kept:
+        raise DatasetError("no records produced")
+
+
 def load_dataset(
-    source: Iterable[str],
+    source: Iterable[str] | BinaryIO,
     policy: AttributePolicy = AttributePolicy(),
 ) -> tuple[list[AntigenRecord], DatasetSummary]:
     """Parse, apply the missing-value policy, normalize, and label every row.
@@ -229,45 +295,24 @@ def load_dataset(
     function of the bytes and the policy: identical inputs yield identical
     record lists.
 
-    Each distinct attribute token is parsed once and each distinct value
-    normalized once, by table lookup. ``normalize_attribute`` fills the
-    value table, so the floats are the ones it returns.
+    A file is read by columns (``_read_columns``); only a file with a
+    fault is read again row by row, to name it. ``normalize_attribute``
+    gives every attribute value, once per distinct token.
     """
-    rows = _read_rows(_lines(source))
-    impute = policy.missing_value_policy is not MissingValuePolicy.SKIP_RECORD
-    medians = _column_medians(rows) if impute else []
-    labels = (Category.NORMAL, Category.ANOMALOUS)
-    normalized: dict[int, float] = {}
-    normalized_value = normalized.__getitem__
-    records: list[AntigenRecord] = []
-    anomalous_count = 0
-    for lineno, sample_id, values, anomalous in rows:
-        if None in values:
-            if not impute:
-                continue
-            values = tuple(medians[i] if v is None else v for i, v in enumerate(values))
-        try:
-            attributes = tuple(map(normalized_value, values))
-        except KeyError:
-            for v in values:
-                if v not in normalized:
-                    try:
-                        normalized[v] = normalize_attribute(v, policy.lo, policy.hi)
-                    except DatasetError as exc:
-                        raise DatasetError(f"line {lineno}: {exc}") from exc
-            attributes = tuple(map(normalized_value, values))
-        records.append(AntigenRecord(len(records), sample_id, attributes, labels[anomalous]))
-        anomalous_count += anomalous
-    if not records:
-        raise DatasetError("no records produced")
-
+    lines = _lines(source)
+    read = _read_columns(lines, policy)
+    if read is None:
+        _raise_first_fault(lines, policy)
+        raise AssertionError("the column reader declined a file without a fault")
+    records, rows_read = read
+    anomalous = countOf(map(attrgetter("true_label"), records), Category.ANOMALOUS)
     summary = DatasetSummary(
-        rows_read=len(rows),
-        rows_skipped=len(rows) - len(records),
+        rows_read=rows_read,
+        rows_skipped=rows_read - len(records),
         records_produced=len(records),
         label_counts={
-            Category.NORMAL: len(records) - anomalous_count,
-            Category.ANOMALOUS: anomalous_count,
+            Category.NORMAL: len(records) - anomalous,
+            Category.ANOMALOUS: anomalous,
         },
     )
     return records, summary

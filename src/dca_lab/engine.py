@@ -44,6 +44,8 @@ import random
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import IO, Sequence
 
 from .agents import (
@@ -176,7 +178,7 @@ def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
     ]
     return World(
         tick=0,
-        pending=deque(sorted(records, key=lambda r: r.antigen_id)),
+        pending=deque(sorted(records, key=attrgetter("antigen_id"))),
         dcs=dcs,
         antigens_in_flight={},
         results=[],
@@ -309,19 +311,20 @@ def _check_records(config: SimConfig, records: Sequence[AntigenRecord]) -> None:
         raise DatasetError("cannot run on zero records")
     mapping = config.signal_mapping
     max_index = max(mapping.pamp_sources + mapping.danger_sources + mapping.safe_sources)
-    shortest = min(len(r.attributes) for r in records)
+    shortest = min(map(len, map(attrgetter("attributes"), records)))
     if max_index >= shortest:
         raise InvalidConfigError(
             f"signal mapping references attribute index {max_index} but a record "
             f"has only {shortest} attributes"
         )
     # Each distinct value is compared once; NaN fails both comparisons.
-    if not all(0.0 <= v <= 1.0 for v in {v for r in records for v in r.attributes}):
+    if not all(0.0 <= v <= 1.0 for v in set(chain.from_iterable(map(attrgetter("attributes"), records)))):
         bad = next(r for r in records if not all(0.0 <= v <= 1.0 for v in r.attributes))
         raise DatasetError(f"antigen {bad.antigen_id} has an attribute outside [0, 1]: {bad.attributes}")
-    repeated = [aid for aid, n in Counter(r.antigen_id for r in records).items() if n > 1]
-    if repeated:
-        raise DatasetError(f"antigen id {repeated[0]} is repeated")
+    ids = list(map(attrgetter("antigen_id"), records))
+    if len(set(ids)) != len(ids):
+        repeated = next(aid for aid, n in Counter(ids).items() if n > 1)
+        raise DatasetError(f"antigen id {repeated} is repeated")
 
 
 def run(
@@ -344,7 +347,7 @@ def run(
     flush(world, config, trace)
 
     confusion, metrics = compute_metrics(world.results)
-    histogram = build_histogram([r.mcav for r in world.results], config.histogram_bins)
+    histogram = build_histogram(map(attrgetter("mcav"), world.results), config.histogram_bins)
     return RunReport(
         results=world.results,
         confusion=confusion,

@@ -1,4 +1,4 @@
-"""Mutation gate: each of the 35 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 40 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -70,26 +70,41 @@ MUTANTS = [
            ("tests/test_golden.py::test_corpus_bytes_are_pinned[default]",)),
     Mutant("cli.py", "{mcav:.6f}", "{mcav:.6g}",
            ("tests/test_golden.py::test_corpus_bytes_are_pinned[default]",)),
-    # Every row of results.csv reuses the text of the first MCAV seen.
-    Mutant("cli.py", "text = mcav_text.get(mcav)", "text = next(iter(mcav_text.values()), None)",
+    # Every row of results.csv reuses the tail of the first result seen.
+    Mutant("cli.py", "tail = tails.get((mcav, predicted, actual))", "tail = next(iter(tails.values()), None)",
            ("tests/test_golden.py::test_corpus_bytes_are_pinned[impute_median]",)),
     Mutant("analysis.py", "counts[min(bisect_right(edges, v) - 1, bins - 1)]", "counts[min(int(v * bins), bins - 1)]",
            ("tests/test_analysis.py::TestBuildHistogram::test_every_mcav_lands_between_its_bin_edges",)),
     # median_high in place of median_low.
     Mutant("data_ingest.py", "bisect_right(ends, (ends[-1] - 1) // 2)", "bisect_right(ends, ends[-1] // 2)",
            ("tests/test_data_ingest.py::TestLoadDataset::test_impute_median_lower_of_two",)),
-    Mutant("data_ingest.py", "_CLASS_TOKENS = {", "_CLASS_TOKENS = {\"3\": False, ",
+    Mutant("data_ingest.py", "_LABELS = {", "_LABELS = {3: Category.NORMAL, ",
            ("tests/test_data_ingest.py::test_matches_reference_ingest",)),
+    # The column reader checks only the total field count: 10 fields then 12 read as two rows.
+    Mutant("data_ingest.py", '    if set(map(str.count, rows, repeat(","))) != {FIELD_COUNT - 1}:\n', "    if not rows:\n",
+           ("tests/test_data_ingest.py::TestColumnReader::test_fields_spread_unevenly_over_rows_are_found_per_line",)),
+    # The column reader reads class 3 as normal; the fault finder still rejects it.
+    Mutant("data_ingest.py", '_LABELS[_ascii_int(t, "class code")]', '_LABELS.get(_ascii_int(t, "class code"), Category.NORMAL)',
+           ("tests/test_data_ingest.py::test_column_reader_declines_exactly_the_files_with_a_fault",)),
+    # The column reader takes any Unicode digit in a sample id, as int() does.
+    Mutant("data_ingest.py", "if not (id_digits.isdigit() and id_digits.isascii()):", "if not id_digits.isdigit():",
+           ("tests/test_data_ingest.py::test_matches_reference_ingest",)),
+    # The column reader keeps each line's \r, so it declines every \r\n file.
+    Mutant("data_ingest.py", 'map(str.removesuffix, lines, repeat("\\r"))', "lines",
+           ("tests/test_data_ingest.py::TestColumnReader::test_every_accepted_spelling_is_read_by_columns[skip_record]",)),
+    # skip_record keeps a row whose value is out of range, with None for it.
+    Mutant("data_ingest.py", "if any(p // ATTRIBUTE_COUNT not in skipped", "if False and any(p // ATTRIBUTE_COUNT not in skipped",
+           ("tests/test_data_ingest.py::TestLoadDataset::test_out_of_range_carries_line_number",)),
     Mutant("agents.py", "    if dc.cum_semi > dc.cum_mat:\n", "    if dc.cum_mat > dc.cum_semi:\n",
            ("tests/test_agents.py::TestMigrationAndContext::test_semi_greater_goes_semimature",)),
     Mutant("engine.py", "        if ag is None:  # never owed a bit, or already got its last one\n", "        if False:\n",
            ("tests/test_engine.py::TestFlush::test_bit_for_an_antigen_not_in_flight_is_engine_fault",)),
     # The range check lets NaN through: NaN fails every comparison.
-    Mutant("engine.py", "if not all(0.0 <= v <= 1.0 for v in {", "if any(v < 0.0 or v > 1.0 for v in {",
+    Mutant("engine.py", "if not all(0.0 <= v <= 1.0 for v in set(", "if any(v < 0.0 or v > 1.0 for v in set(",
            ("tests/test_engine.py::TestRecordsCheck::test_attribute_outside_unit_interval_rejected[nan]",)),
     Mutant("engine.py", "    if max_index >= shortest:\n", "    if max_index > shortest:\n",
            ("tests/test_engine.py::TestRecordsCheck::test_mapping_index_equal_to_the_attribute_count_rejected",)),
-    Mutant("engine.py", "    if repeated:\n", "    if False:\n",
+    Mutant("engine.py", "    if len(set(ids)) != len(ids):\n", "    if False:\n",
            ("tests/test_engine.py::TestRecordsCheck::test_repeated_antigen_id_rejected_before_the_first_tick[finalized_twice]",)),
     Mutant("data_ingest.py", "    return (value - lo) / (hi - lo)\n", "    return (value - lo) * (1 / (hi - lo))\n",
            ("tests/test_data_ingest.py::TestNormalizeAttribute::test_is_the_literal_quotient_bit_for_bit",)),
@@ -115,7 +130,7 @@ MUTANTS = [
            ("tests/test_cli.py::TestDatasetGrammar::test_dataset_spelling_rejected_with_exit_3[underscore]",)),
     # results.csv rounds each MCAV to a tenth: right when k = 10, as in every
     # older pinned output, wrong for the corpus run with k = 7.
-    Mutant("cli.py", 'mcav_text[mcav] = f"{mcav:.6f}"', 'mcav_text[mcav] = f"{round(mcav, 1):.6f}"',
+    Mutant("cli.py", 'f",{mcav:.6f},', 'f",{round(mcav, 1):.6f},',
            ("tests/test_golden.py::test_corpus_bytes_are_pinned[k_equals_n_impute]",)),
     # A failed write leaves its temp file behind.
     Mutant("cli.py", "            os.unlink(tmp_name)\n", "            pass\n",

@@ -1,6 +1,8 @@
 """Histogram binning, confusion counts and metric guards."""
 
+import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,6 +10,8 @@ from hypothesis import example, given, strategies as st
 from dca_lab.agents import Category
 from dca_lab.analysis import (
     ClassificationResult,
+    ConfusionCounts,
+    Metrics,
     build_histogram,
     compute_metrics,
 )
@@ -142,3 +146,66 @@ class TestComputeMetrics:
         assert confusion.total == len(results)
         all_correct = all(r.predicted is r.actual for r in results)
         assert (metrics.accuracy == 1.0) == all_correct
+
+
+def _plain_metrics(results):
+    """``compute_metrics`` written out per result, one list of MCAVs per class."""
+    tp = tn = fp = fn = 0
+    normal, anomalous = [], []
+    for r in results:
+        positive = r.predicted is A
+        if r.actual is A:
+            anomalous.append(r.mcav)
+            tp, fn = tp + positive, fn + (not positive)
+        else:
+            normal.append(r.mcav)
+            fp, tn = fp + positive, tn + (not positive)
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn), Metrics(
+        accuracy=(tp + tn) / len(results),
+        true_positive_rate=tp / (tp + fn) if tp + fn else None,
+        false_positive_rate=fp / (fp + tn) if fp + tn else None,
+        mean_mcav_normal=math.fsum(normal) / len(normal) if normal else None,
+        mean_mcav_anomalous=math.fsum(anomalous) / len(anomalous) if anomalous else None,
+    )
+
+
+def _plain_histogram(mcavs, bins):
+    """``build_histogram`` written out per value: the first value outside [0, 1] raises."""
+    edges = tuple(i / bins for i in range(bins + 1))
+    counts = [0] * bins
+    for v in mcavs:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"MCAV {v} outside [0, 1]")
+        counts[min(bisect_right(edges, v) - 1, bins - 1)] += 1
+    return edges, tuple(counts)
+
+
+def _histogram(mcavs, bins):
+    histogram = build_histogram(mcavs, bins)
+    return histogram.edges, histogram.counts
+
+
+def _outcome(fn, *args):
+    """The repr of what ``fn`` returns or raises, so -0.0 and 0.0 differ and NaN equals NaN."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+# Run-like MCAVs j/k, so values repeat, mixed with signed zeros, NaN and values out of range.
+mcav_values = st.one_of(
+    st.integers(0, 7).map(lambda j: j / 7),
+    st.sampled_from([0.0, -0.0, math.nan, 1.0, 1.5, -0.25]),
+    st.floats(0, 1),
+)
+
+
+@given(st.lists(st.tuples(mcav_values, st.booleans(), st.booleans()), min_size=1, max_size=60), st.integers(1, 12))
+@example(rows=[(0.0, False, False), (-0.0, True, False), (-0.0, False, False)], bins=3)
+@example(rows=[(math.nan, True, True), (0.5, True, True), (math.nan, False, True)], bins=2)
+def test_counting_distinct_values_matches_the_per_result_formulas(rows, bins):
+    results = [result(i, mcav, A if pred else N, A if act else N) for i, (mcav, pred, act) in enumerate(rows)]
+    assert _outcome(compute_metrics, results) == _outcome(_plain_metrics, results)
+    mcavs = [r.mcav for r in results]
+    assert _outcome(_histogram, iter(mcavs), bins) == _outcome(_plain_histogram, mcavs, bins)

@@ -7,6 +7,8 @@ import statistics
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import write_wbc_like_file
+from dca_lab import data_ingest
 from dca_lab.agents import Category
 from dca_lab.data_ingest import (
     AttributePolicy,
@@ -434,3 +436,56 @@ def test_matches_reference_ingest(text, policy):
     expected = _outcome(_reference_load, text, policy)
     assert _outcome(_loaded, io.BytesIO(text.encode()), policy) == expected
     assert _outcome(_loaded, text.split("\n"), policy) == expected
+
+
+@settings(max_examples=400)
+@given(text=wbc_like_text(), policy=policies)
+@example(text="1,1,1,1,1,1,1,1,1,2\n2,1,1,1,1,1,1,1,1,1,1,4\n", policy=AttributePolicy())
+@example(text="1,1,1,1,1,1,1,1,1,1,3\n", policy=AttributePolicy())
+@example(text="1,11,1,?,1,1,1,1,1,1,2\n2,1,1,1,1,1,1,1,1,1,4\n", policy=AttributePolicy())
+def test_column_reader_declines_exactly_the_files_with_a_fault(text, policy):
+    # The row-by-row fault finder raises on every file the column reader
+    # declines, and finds nothing in every file it reads.
+    lines = data_ingest._lines(io.BytesIO(text.encode()))
+    if data_ingest._read_columns(lines, policy) is None:
+        with pytest.raises(DatasetError):
+            data_ingest._raise_first_fault(lines, policy)
+    else:
+        data_ingest._raise_first_fault(lines, policy)
+
+
+class TestColumnReader:
+    """Every well-formed spelling is read by columns; the row-by-row walk only names faults."""
+
+    @pytest.fixture
+    def no_fault_finder(self, monkeypatch):
+        def fail(lines, policy):
+            raise AssertionError("a well-formed file reached the fault finder")
+
+        monkeypatch.setattr(data_ingest, "_raise_first_fault", fail)
+
+    @pytest.mark.parametrize("rule", [SKIP, IMPUTE], ids=["skip_record", "impute_median"])
+    def test_wbc_like_file_is_read_by_columns(self, no_fault_finder, tmp_path, rule):
+        path = tmp_path / "wbc.data"
+        write_wbc_like_file(path)
+        with open(path, "rb") as handle:
+            records, summary = load_dataset(handle, AttributePolicy(rule))
+        assert summary.rows_read == 699
+        assert len(records) == (683 if rule is SKIP else 699)
+
+    @pytest.mark.parametrize("rule", [SKIP, IMPUTE], ids=["skip_record", "impute_median"])
+    def test_every_accepted_spelling_is_read_by_columns(self, no_fault_finder, rule):
+        # A BOM, \r\n and bare \n line ends, blank lines, leading zeros, and an
+        # out-of-range value in a row that skip_record drops.
+        out_of_range = "" if rule is IMPUTE else "5,11,1,1,1,1,?,1,1,1,4\r\n"
+        payload = ("\ufeff\r\n" + FIRST_UCI_ROW + "\r\n\n" + "01000025,05,01,1,1,2,1,3,1,1,02\n"
+                   + out_of_range + MISSING_UCI_ROW + "\r\n\r\n")
+        records, summary = load_dataset(io.BytesIO(payload.encode()), AttributePolicy(rule))
+        assert summary.rows_read == (4 if out_of_range else 3)
+        assert records[0] == records[1]._replace(antigen_id=0)
+        assert [r.antigen_id for r in records] == list(range(len(records)))
+
+    def test_fields_spread_unevenly_over_rows_are_found_per_line(self):
+        # 10 fields then 12: 22 in all, as two good rows would have.
+        with pytest.raises(DatasetError, match="^line 1: expected 11 comma-separated fields, got 10$"):
+            load_dataset(_stream("1,1,1,1,1,1,1,1,1,2", "2,1,1,1,1,1,1,1,1,1,1,4"))
