@@ -18,9 +18,9 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import attrgetter, countOf
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import BinaryIO, NamedTuple, NoReturn
 
 from .agents import Category
 from .schema import Field, InvalidConfigError, brief, check
@@ -99,32 +99,26 @@ def normalize_attribute(value: float, lo: float, hi: float) -> float:
     return (value - lo) / (hi - lo)
 
 
-def _lines(source) -> list[str]:
-    """The source's lines, without one leading byte order mark (U+FEFF).
+def _lines(source: BinaryIO) -> list[str]:
+    """The stream's lines, without one leading byte order mark (U+FEFF).
 
-    A binary stream is read whole and split on ``\\n`` only, so a fault's
-    line number counts the same line ends whether it is a bad byte or a bad
+    The stream is read whole and split on ``\\n`` only, so a fault's line
+    number counts the same line ends whether it is a bad byte or a bad
     field. A text stream is refused: its universal newlines would already
     have split rows at a lone ``\\r``.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        if not isinstance(data, (bytes, bytearray)):
-            raise TypeError("load_dataset reads a stream in binary mode only: open the file with 'rb'")
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = exc.object.count(b"\n", 0, exc.start) + 1
-            raise DatasetError(
-                f"line {lineno}: not UTF-8 text "
-                f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
-            ) from None
-        lines = data.split("\n")
-    else:
-        lines = list(source)
-    if lines:
-        lines[0] = lines[0].removeprefix("\ufeff")
-    return lines
+    data = source.read()
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError("load_dataset reads a stream in binary mode only: open the file with 'rb'")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(
+            f"line {lineno}: not UTF-8 text "
+            f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from None
+    return text.removeprefix("\ufeff").split("\n")
 
 
 def _ascii_int(text: str, what: str) -> int:
@@ -158,34 +152,64 @@ def _positions(items: list, item) -> list[int]:
         return found[1:]
 
 
-def _read_columns(lines: list[str], policy: AttributePolicy) -> tuple[list[AntigenRecord], int] | None:
-    """The records and row count of a file without a fault, read by columns; None for any other file.
+def _raise_parse_error(lines: list[str]) -> NoReturn:
+    """Raise the first parse error in file order, with its 1-based line number.
+
+    A row's parse error is its first faulty field: the field count, the
+    sample id, the attributes left to right, the class code.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        line = line.removesuffix("\r")
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != FIELD_COUNT:
+                raise DatasetError(f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
+            _ascii_int(fields[0], "sample id")
+            for i, t in enumerate(fields[1:-1], start=1):
+                if t != MISSING_MARKER:
+                    _ascii_int(t, f"attribute {i}")
+            code = _ascii_int(fields[-1], "class code")
+            if code not in _LABELS:
+                raise DatasetError(f"class code must be {NORMAL_CLASS_CODE} or {ANOMALOUS_CLASS_CODE}, got {code}")
+        except DatasetError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from exc
+    raise AssertionError("a bulk grammar check failed on a file without a parse error")
+
+
+def _read_columns(lines: list[str], policy: AttributePolicy) -> tuple[list[AntigenRecord], int]:
+    """The records and row count of the file, read by columns; a fault raises ``DatasetError``.
 
     Blank lines are dropped, every line is checked for ten commas, and all
     fields are split at once. Sample ids and class tokens are carved off by
     extended slices, leaving the attribute tokens row after row. Each
     distinct token is parsed and normalized once, and a missing attribute
     takes its column's median or drops its row. No step loops over the rows
-    in Python, and none names a fault: ``_raise_first_fault`` re-walks a
-    declined file for that.
+    in Python. Faults come in this order: the first parse error in file
+    order (found by ``_raise_parse_error`` once a bulk check fails), then
+    the lowest column with nothing to impute from, then the first
+    out-of-range value among the kept rows, leftmost in its row.
     """
     rows = list(filter(None, map(str.removesuffix, lines, repeat("\r"))))
+    if not rows:
+        return [], 0
     if set(map(str.count, rows, repeat(","))) != {FIELD_COUNT - 1}:
-        return None
+        _raise_parse_error(lines)
     fields = ",".join(rows).split(",")
     sample_ids = fields[::FIELD_COUNT]
     class_tokens = fields[FIELD_COUNT - 1 :: FIELD_COUNT]
     del fields[FIELD_COUNT - 1 :: FIELD_COUNT], fields[:: FIELD_COUNT - 1]
     id_digits = "".join(sample_ids)
     if not (id_digits.isdigit() and id_digits.isascii()):
-        return None
+        _raise_parse_error(lines)
     tokens = set(fields)
     try:
         sample_ids = list(map(int, sample_ids))  # ValueError: an empty id, or more digits than int() converts
         label = {t: _LABELS[_ascii_int(t, "class code")] for t in set(class_tokens)}
         value = {t: _ascii_int(t, "attribute") for t in tokens - {MISSING_MARKER}}
     except (ValueError, KeyError):  # DatasetError is a ValueError
-        return None
+        _raise_parse_error(lines)
     lo, hi = policy.lo, policy.hi
     normalized = {t: normalize_attribute(v, lo, hi) for t, v in value.items() if lo <= v <= hi}
     out_of_range = value.keys() - normalized.keys()
@@ -193,21 +217,27 @@ def _read_columns(lines: list[str], policy: AttributePolicy) -> tuple[list[Antig
     missing = _positions(fields, MISSING_MARKER) if MISSING_MARKER in tokens else []
     skipped: set[int] = set()
     if policy.missing_value_policy is MissingValuePolicy.IMPUTE_MEDIAN:
-        if out_of_range:
-            return None
         fill = {}
-        for column in {p % ATTRIBUTE_COUNT for p in missing}:
+        for column in sorted({p % ATTRIBUTE_COUNT for p in missing}):
             counts = Counter(fields[column::ATTRIBUTE_COUNT])
             del counts[MISSING_MARKER]
             if not counts:
-                return None
+                raise DatasetError(f"attribute column {column + 1} has no non-missing values to impute from")
             fill[column] = _median_low(counts, key=value.__getitem__)
         for p in missing:
             fields[p] = fill[p % ATTRIBUTE_COUNT]
     else:
         skipped = {p // ATTRIBUTE_COUNT for p in missing}
-        if any(p // ATTRIBUTE_COUNT not in skipped for t in out_of_range for p in _positions(fields, t)):
-            return None
+    bad = [p for t in out_of_range for p in _positions(fields, t) if p // ATTRIBUTE_COUNT not in skipped]
+    if bad:
+        p = min(bad)
+        # Only this fault needs the row's line number: the row's place among the non-blank lines.
+        nonblank = (n for n, line in enumerate(lines, start=1) if line.removesuffix("\r"))
+        lineno = next(islice(nonblank, p // ATTRIBUTE_COUNT, None))
+        try:
+            normalize_attribute(value[fields[p]], lo, hi)
+        except DatasetError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from exc
     attributes = list(zip(*[map(normalized.__getitem__, fields)] * ATTRIBUTE_COUNT))
     del fields  # its tokens go before the records come, which keeps the peak memory down
     columns = sample_ids, attributes, map(label.__getitem__, class_tokens)
@@ -217,94 +247,31 @@ def _read_columns(lines: list[str], policy: AttributePolicy) -> tuple[list[Antig
             keep[row] = False
         columns = [compress(column, keep) for column in columns]
     # tuple.__new__ builds each record in C, as AntigenRecord._make does.
-    records = list(map(tuple.__new__, repeat(AntigenRecord), zip(count(), *columns)))
-    return (records, len(rows)) if records else None
-
-
-def _column_medians(rows: list[tuple[int | None, ...]]) -> list[int]:
-    """Per-column median of the non-missing values; even counts take the lower middle."""
-    medians: list[int] = []
-    for col, column in enumerate(zip(*rows), start=1):
-        counts = Counter(column)
-        del counts[None]
-        if not counts:
-            raise DatasetError(
-                f"attribute column {col} has no non-missing values to impute from"
-            )
-        medians.append(_median_low(counts))
-    return medians
-
-
-def _raise_first_fault(lines: list[str], policy: AttributePolicy) -> None:
-    """Raise the fault that reading the file row by row meets first; return if it has none.
-
-    Faults come in this order: the first parse error in file order, then a
-    column with nothing to impute from, then the first out-of-range value
-    in the order of the kept rows, then a file that keeps no row. A row's
-    parse error is its first faulty field: the field count, the sample id,
-    the attributes left to right, the class code. Parse errors and values
-    out of range carry their 1-based line number.
-    """
-    rows: list[tuple[int, tuple[int | None, ...]]] = []
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            line = line.removesuffix("\r")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != FIELD_COUNT:
-                raise DatasetError(f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
-            _ascii_int(fields[0], "sample id")
-            values = tuple(
-                None if t == MISSING_MARKER else _ascii_int(t, f"attribute {i}")
-                for i, t in enumerate(fields[1:-1], start=1)
-            )
-            code = _ascii_int(fields[-1], "class code")
-            if code not in _LABELS:
-                raise DatasetError(f"class code must be {NORMAL_CLASS_CODE} or {ANOMALOUS_CLASS_CODE}, got {code}")
-            rows.append((lineno, values))
-    except DatasetError as exc:
-        raise DatasetError(f"line {lineno}: {exc}") from exc
-    if policy.missing_value_policy is MissingValuePolicy.IMPUTE_MEDIAN:
-        medians = _column_medians([values for _, values in rows])
-        rows = [(n, tuple(medians[i] if v is None else v for i, v in enumerate(values))) for n, values in rows]
-    kept = [(lineno, values) for lineno, values in rows if None not in values]
-    for lineno, values in kept:
-        try:
-            for v in values:
-                normalize_attribute(v, policy.lo, policy.hi)
-        except DatasetError as exc:
-            raise DatasetError(f"line {lineno}: {exc}") from exc
-    if not kept:
-        raise DatasetError("no records produced")
+    return list(map(tuple.__new__, repeat(AntigenRecord), zip(count(), *columns))), len(rows)
 
 
 def load_dataset(
-    source: Iterable[str] | BinaryIO,
+    source: BinaryIO,
     policy: AttributePolicy = AttributePolicy(),
 ) -> tuple[list[AntigenRecord], DatasetSummary]:
     """Parse, apply the missing-value policy, normalize, and label every row.
 
-    ``source`` may be a binary stream, read whole and split on ``\\n``,
-    or any iterable of lines without their ``\\n``; a text stream raises
-    ``TypeError``. Each line loses one trailing ``\\r``; an empty line is
-    skipped and every other line is a row in the module's grammar. Faults
-    are raised with the offending 1-based line number: the first parse
-    error in file order, then a column with nothing to impute from, then
-    the first out-of-range value in the order of the kept rows. A pure
-    function of the bytes and the policy: identical inputs yield identical
-    record lists.
+    ``source`` is a binary stream, read whole and split on ``\\n``; a text
+    stream raises ``TypeError``. Each line loses one trailing ``\\r``; an
+    empty line is skipped and every other line is a row in the module's
+    grammar. Faults are raised with the offending 1-based line number: the
+    first parse error in file order, then a column with nothing to impute
+    from, then the first out-of-range value in the order of the kept rows;
+    a file that keeps no row raises last. A pure function of the bytes and
+    the policy: identical inputs yield identical record lists.
 
-    A file is read by columns (``_read_columns``); only a file with a
-    fault is read again row by row, to name it. ``normalize_attribute``
-    gives every attribute value, once per distinct token.
+    The file is read once, by columns (``_read_columns``), and
+    ``normalize_attribute`` gives every attribute value, once per distinct
+    token.
     """
-    lines = _lines(source)
-    read = _read_columns(lines, policy)
-    if read is None:
-        _raise_first_fault(lines, policy)
-        raise AssertionError("the column reader declined a file without a fault")
-    records, rows_read = read
+    records, rows_read = _read_columns(_lines(source), policy)
+    if not records:
+        raise DatasetError("no records produced")
     anomalous = countOf(map(attrgetter("true_label"), records), Category.ANOMALOUS)
     summary = DatasetSummary(
         rows_read=rows_read,

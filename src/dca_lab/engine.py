@@ -191,16 +191,24 @@ def _finalize_antigen(
     world: World, config: SimConfig, ag: AntigenAgent, trace: TraceLog | None
 ) -> None:
     predicted = classify_antigen(ag.mcav, config.anomalous_threshold)
-    world.results.append(ClassificationResult(ag.antigen_id, ag.mcav, predicted, ag.true_label))
+    # tuple.__new__ builds the result in C, as ingest builds each AntigenRecord.
+    world.results.append(tuple.__new__(ClassificationResult, (ag.antigen_id, ag.mcav, predicted, ag.true_label)))
     del world.antigens_in_flight[ag.antigen_id]
     if trace is not None:
         trace.emit(f"{world.tick},finalize,{ag.antigen_id},{ag.mcav!r};{CATEGORY_TEXT[predicted]}\r\n")
 
 
-def _deliver_contexts(
-    world: World, config: SimConfig, dc: DCAgent, bit: int, trace: TraceLog | None
+def _vote(
+    world: World, config: SimConfig, dc: DCAgent, event: str, trace: TraceLog | None
 ) -> None:
-    """Send the DC's context bit to every sampled antigen, in order, with multiplicity."""
+    """Decide the DC's context, trace it as ``event``, and send its bit to every sampled antigen.
+
+    ``event`` is ``migrate`` or ``flush_migrate``. Bits go out in sample
+    order, with multiplicity.
+    """
+    name, bit = dc_decide_context(dc)
+    if trace is not None:
+        trace.emit(f"{world.tick},{event},{dc.dc_id},{name};{bit}\r\n")
     in_flight = world.antigens_in_flight
     for antigen_id in dc.sampled:
         ag = in_flight.get(antigen_id)
@@ -229,10 +237,7 @@ def _migrate(
     tick.
     """
     dc = world.dcs[position]
-    name, bit = dc_decide_context(dc)
-    if trace is not None:
-        trace.emit(f"{world.tick},migrate,{dc.dc_id},{name};{bit}\r\n")
-    _deliver_contexts(world, config, dc, bit, trace)
+    _vote(world, config, dc, "migrate", trace)
     old_id = dc.dc_id
     t_min, t_max = config.threshold_range
     dc.dc_id = world.next_dc_id
@@ -291,10 +296,7 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
         raise EngineFaultError("flush called with records still pending")
     for dc in world.dcs:
         if dc.sampled:
-            name, bit = dc_decide_context(dc)
-            if trace is not None:
-                trace.emit(f"{world.tick},flush_migrate,{dc.dc_id},{name};{bit}\r\n")
-            _deliver_contexts(world, config, dc, bit, trace)
+            _vote(world, config, dc, "flush_migrate", trace)
         elif trace is not None:
             trace.emit(f"{world.tick},discard,{dc.dc_id},\r\n")
     world.dcs.clear()

@@ -1,4 +1,4 @@
-"""Mutation gate: each of the 40 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 42 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -81,20 +81,26 @@ MUTANTS = [
     Mutant("data_ingest.py", "_LABELS = {", "_LABELS = {3: Category.NORMAL, ",
            ("tests/test_data_ingest.py::test_matches_reference_ingest",)),
     # The column reader checks only the total field count: 10 fields then 12 read as two rows.
-    Mutant("data_ingest.py", '    if set(map(str.count, rows, repeat(","))) != {FIELD_COUNT - 1}:\n', "    if not rows:\n",
+    Mutant("data_ingest.py", '    if set(map(str.count, rows, repeat(","))) != {FIELD_COUNT - 1}:\n', "    if False:\n",
            ("tests/test_data_ingest.py::TestColumnReader::test_fields_spread_unevenly_over_rows_are_found_per_line",)),
-    # The column reader reads class 3 as normal; the fault finder still rejects it.
+    # The column reader reads class 3 as normal; only the parse-error walk would reject it.
     Mutant("data_ingest.py", '_LABELS[_ascii_int(t, "class code")]', '_LABELS.get(_ascii_int(t, "class code"), Category.NORMAL)',
-           ("tests/test_data_ingest.py::test_column_reader_declines_exactly_the_files_with_a_fault",)),
+           ("tests/test_data_ingest.py::test_matches_reference_ingest",)),
     # The column reader takes any Unicode digit in a sample id, as int() does.
     Mutant("data_ingest.py", "if not (id_digits.isdigit() and id_digits.isascii()):", "if not id_digits.isdigit():",
            ("tests/test_data_ingest.py::test_matches_reference_ingest",)),
-    # The column reader keeps each line's \r, so it declines every \r\n file.
+    # The column reader keeps each line's \r, so a \r\n file fails the comma check and reaches the parse-error walk.
     Mutant("data_ingest.py", 'map(str.removesuffix, lines, repeat("\\r"))', "lines",
            ("tests/test_data_ingest.py::TestColumnReader::test_every_accepted_spelling_is_read_by_columns[skip_record]",)),
-    # skip_record keeps a row whose value is out of range, with None for it.
-    Mutant("data_ingest.py", "if any(p // ATTRIBUTE_COUNT not in skipped", "if False and any(p // ATTRIBUTE_COUNT not in skipped",
+    # An out-of-range value in a kept row is read as None, with no fault.
+    Mutant("data_ingest.py", "    if bad:\n", "    if False:\n",
            ("tests/test_data_ingest.py::TestLoadDataset::test_out_of_range_carries_line_number",)),
+    # The out-of-range fault counts lines from 0.
+    Mutant("data_ingest.py", "enumerate(lines, start=1) if line", "enumerate(lines) if line",
+           ("tests/test_data_ingest.py::TestLoadDataset::test_out_of_range_carries_line_number",)),
+    # Columns with nothing to impute from are checked in set order: 9 before 6.
+    Mutant("data_ingest.py", "sorted({p % ATTRIBUTE_COUNT for p in missing})", "{p % ATTRIBUTE_COUNT for p in missing}",
+           ("tests/test_data_ingest.py::TestLoadDataset::test_lowest_column_with_nothing_to_impute_from_is_named",)),
     Mutant("agents.py", "    if dc.cum_semi > dc.cum_mat:\n", "    if dc.cum_mat > dc.cum_semi:\n",
            ("tests/test_agents.py::TestMigrationAndContext::test_semi_greater_goes_semimature",)),
     Mutant("engine.py", "        if ag is None:  # never owed a bit, or already got its last one\n", "        if False:\n",
@@ -123,7 +129,7 @@ MUTANTS = [
     Mutant("data_ingest.py", "        if not 0.0 < self.hi - self.lo < math.inf:\n", "        if not self.lo < self.hi:\n",
            ("tests/test_schema.py::test_python_built_component_is_checked_against_its_rows[overflowing_span]",)),
     # Lines split on every break splitlines() knows, a form feed included.
-    Mutant("data_ingest.py", 'lines = data.split("\\n")', "lines = data.splitlines()",
+    Mutant("data_ingest.py", '.removeprefix("\\ufeff").split("\\n")', '.removeprefix("\\ufeff").splitlines()',
            ("tests/test_cli.py::TestDatasetGrammar::test_dataset_spelling_rejected_with_exit_3[form_feed_between_rows]",)),
     # The digit check lets through what int() also reads: 1_0 as 10.
     Mutant("data_ingest.py", "if text.isdigit() and text.isascii():", 'if text.replace("_", "").isdigit() and text.isascii():',

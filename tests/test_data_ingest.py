@@ -24,9 +24,13 @@ FIRST_UCI_ROW = "1000025,5,1,1,1,2,1,3,1,1,2"
 MISSING_UCI_ROW = "1057013,8,4,5,1,2,?,7,3,1,4"
 
 
+def _stream(*lines: str) -> io.BytesIO:
+    return io.BytesIO(("\n".join(lines) + "\n").encode())
+
+
 def _one_row(line):
     """The single record ``load_dataset`` reads from a one-line file."""
-    (record,), _ = load_dataset([line])
+    (record,), _ = load_dataset(_stream(line))
     return record
 
 
@@ -45,29 +49,29 @@ class TestParseRecord:
 
     def test_missing_marker_preserved(self):
         # The marker reads as a missing value: skip_record drops the row, impute_median fills it.
-        lines = [FIRST_UCI_ROW, MISSING_UCI_ROW]
-        records, summary = load_dataset(lines)
+        lines = FIRST_UCI_ROW, MISSING_UCI_ROW
+        records, summary = load_dataset(_stream(*lines))
         assert (summary.rows_read, summary.rows_skipped) == (2, 1)
         assert [r.source_sample_id for r in records] == [1000025]
-        records, _ = load_dataset(lines, AttributePolicy(MissingValuePolicy.IMPUTE_MEDIAN))
+        records, _ = load_dataset(_stream(*lines), AttributePolicy(MissingValuePolicy.IMPUTE_MEDIAN))
         assert records[1].attributes == _normalized(8, 4, 5, 1, 2, 1, 7, 3, 1)
         assert records[1].true_label is Category.ANOMALOUS
 
     def test_field_count_error(self):
         with pytest.raises(DatasetError, match="^line 1: expected 11 comma-separated fields, got 3$"):
-            load_dataset(["1,2,3"])
+            load_dataset(_stream("1,2,3"))
 
     def test_non_numeric_attribute(self):
         with pytest.raises(DatasetError, match="^line 1: attribute 3 'x' is not ASCII digits$"):
-            load_dataset(["1,2,3,x,5,6,7,8,9,10,2"])
+            load_dataset(_stream("1,2,3,x,5,6,7,8,9,10,2"))
 
     def test_non_numeric_sample_id(self):
         with pytest.raises(DatasetError, match=r"^line 1: sample id '\?' is not ASCII digits$"):
-            load_dataset(["?,2,3,4,5,6,7,8,9,10,2"])
+            load_dataset(_stream("?,2,3,4,5,6,7,8,9,10,2"))
 
     def test_class_code_error(self):
         with pytest.raises(DatasetError, match="^line 1: class code must be 2 or 4, got 3$"):
-            load_dataset(["1,2,3,4,5,6,7,8,9,10,3"])
+            load_dataset(_stream("1,2,3,4,5,6,7,8,9,10,3"))
 
 
 class TestNormalizeAttribute:
@@ -119,10 +123,6 @@ class TestNormalizeAttribute:
         assert n1 <= n2
         if v2 - v1 > width * 1e-9:
             assert n1 < n2
-
-
-def _stream(*lines: str) -> io.BytesIO:
-    return io.BytesIO(("\n".join(lines) + "\n").encode())
 
 
 class TestLoadDataset:
@@ -181,6 +181,12 @@ class TestLoadDataset:
         imputed = records[4].attributes[0]
         assert imputed == normalize_attribute(2, 1, 10)
 
+    def test_lowest_column_with_nothing_to_impute_from_is_named(self):
+        # Columns 6 and 9 hold only '?': the set {0, 5, 8} of their indices iterates 8 before 5.
+        rows = "1,?,1,1,1,1,?,1,1,?,2", "2,1,1,1,1,1,?,1,1,?,4", "3,2,1,1,1,1,?,1,1,?,2"
+        with pytest.raises(DatasetError, match="^attribute column 6 has no non-missing values to impute from$"):
+            load_dataset(_stream(*rows), AttributePolicy(MissingValuePolicy.IMPUTE_MEDIAN))
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(DatasetError, match="^line 2: expected 11 comma-separated fields, got 1$"):
             load_dataset(_stream("1,1,1,1,1,1,1,1,1,1,2", "nope"))
@@ -188,6 +194,11 @@ class TestLoadDataset:
     def test_out_of_range_carries_line_number(self):
         with pytest.raises(DatasetError, match=r"^line 1: value 11 outside declared bounds \[1.0, 10.0\]$"):
             load_dataset(_stream("1,11,1,1,1,1,1,1,1,1,2"))
+        # Blank lines, \r\n line ends and a row with a '?' all count as lines before the bad row.
+        payload = b"\r\n1,1,1,1,1,1,1,1,1,1,2\r\n\n2,?,1,1,1,1,1,1,1,1,2\r\n\r\n3,1,1,11,1,1,1,1,1,1,4\r\n"
+        for rule in MissingValuePolicy:
+            with pytest.raises(DatasetError, match=r"^line 6: value 11 outside declared bounds \[1.0, 10.0\]$"):
+                load_dataset(io.BytesIO(payload), AttributePolicy(rule))
 
     def test_blank_lines_ignored(self):
         records, summary = load_dataset(
@@ -202,7 +213,6 @@ class TestLoadDataset:
         for source in (
             io.BytesIO(payload.encode("utf-8-sig")),
             io.BufferedReader(io.BytesIO(("\ufeff" + payload).encode())),  # as open(path, "rb") gives
-            ["\ufeff" + FIRST_UCI_ROW, MISSING_UCI_ROW],
         ):
             records, summary = load_dataset(source)
             assert records == plain
@@ -222,10 +232,6 @@ class TestLoadDataset:
                 load_dataset(source)
         with pytest.raises(DatasetError, match="^line 1: expected 11 comma-separated fields, got 21$"):
             load_dataset(io.BytesIO(payload))
-
-    def test_accepts_text_iterable(self):
-        records, _ = load_dataset(["7,3,3,3,3,3,3,3,3,3,4"])
-        assert records[0].source_sample_id == 7
 
     def test_pure_function_of_bytes_and_policy(self):
         payload = b"1,1,2,3,4,5,6,7,8,9,2\n2,9,8,7,6,5,4,3,2,1,4\n"
@@ -258,7 +264,7 @@ class TestGrammar:
     def test_more_digits_than_int_converts_is_rejected(self):
         for line in ("9" * 5000 + ",1,1,1,1,1,1,1,1,1,2", "1," + "9" * 5000 + ",1,1,1,1,1,1,1,1,2"):
             with pytest.raises(DatasetError, match="has 5000 digits, more than int"):
-                load_dataset([line])
+                load_dataset(_stream(line))
 
     def test_crlf_line_ends_load_the_same_records(self):
         lf = load_dataset(io.BytesIO(f"{FIRST_UCI_ROW}\n\n{MISSING_UCI_ROW}\n".encode()))
@@ -435,34 +441,17 @@ policies = st.builds(
 def test_matches_reference_ingest(text, policy):
     expected = _outcome(_reference_load, text, policy)
     assert _outcome(_loaded, io.BytesIO(text.encode()), policy) == expected
-    assert _outcome(_loaded, text.split("\n"), policy) == expected
-
-
-@settings(max_examples=400)
-@given(text=wbc_like_text(), policy=policies)
-@example(text="1,1,1,1,1,1,1,1,1,2\n2,1,1,1,1,1,1,1,1,1,1,4\n", policy=AttributePolicy())
-@example(text="1,1,1,1,1,1,1,1,1,1,3\n", policy=AttributePolicy())
-@example(text="1,11,1,?,1,1,1,1,1,1,2\n2,1,1,1,1,1,1,1,1,1,4\n", policy=AttributePolicy())
-def test_column_reader_declines_exactly_the_files_with_a_fault(text, policy):
-    # The row-by-row fault finder raises on every file the column reader
-    # declines, and finds nothing in every file it reads.
-    lines = data_ingest._lines(io.BytesIO(text.encode()))
-    if data_ingest._read_columns(lines, policy) is None:
-        with pytest.raises(DatasetError):
-            data_ingest._raise_first_fault(lines, policy)
-    else:
-        data_ingest._raise_first_fault(lines, policy)
 
 
 class TestColumnReader:
-    """Every well-formed spelling is read by columns; the row-by-row walk only names faults."""
+    """Every well-formed spelling is read by columns; the row-by-row walk only names parse errors."""
 
     @pytest.fixture
     def no_fault_finder(self, monkeypatch):
-        def fail(lines, policy):
-            raise AssertionError("a well-formed file reached the fault finder")
+        def fail(lines):
+            raise AssertionError("a well-formed file reached the parse-error walk")
 
-        monkeypatch.setattr(data_ingest, "_raise_first_fault", fail)
+        monkeypatch.setattr(data_ingest, "_raise_parse_error", fail)
 
     @pytest.mark.parametrize("rule", [SKIP, IMPUTE], ids=["skip_record", "impute_median"])
     def test_wbc_like_file_is_read_by_columns(self, no_fault_finder, tmp_path, rule):
