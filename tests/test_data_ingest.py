@@ -443,6 +443,29 @@ def test_matches_reference_ingest(text, policy):
     assert _outcome(_loaded, io.BytesIO(text.encode()), policy) == expected
 
 
+@settings(max_examples=400)
+@given(text=wbc_like_text(), policy=policies)
+@example(text="1,1,1,1,1,1,1,1,1,2\n2,1,1,1,1,1,1,1,1,1,1,4\n", policy=AttributePolicy())
+@example(text="1,1,1,1,1,1,1,1,1,1,3\n", policy=AttributePolicy())
+@example(text="1,11,1,?,1,1,1,1,1,1,2\n2,1,1,1,1,1,1,1,1,1,4\n", policy=AttributePolicy())
+def test_row_walk_names_exactly_the_parse_errors_the_column_reader_finds(text, policy):
+    # Where the row walk finds a parse error, load_dataset raises it; where it
+    # finds none, load_dataset never calls it (its AssertionError would escape)
+    # and raises no parse error of its own.
+    lines = data_ingest._lines(io.BytesIO(text.encode()))
+    try:
+        data_ingest._raise_parse_error(lines)
+    except AssertionError:
+        walk_error = None
+    except DatasetError as exc:
+        walk_error = str(exc)
+    outcome = _outcome(_loaded, io.BytesIO(text.encode()), policy)
+    if walk_error is not None:
+        assert outcome == (DatasetError, walk_error)
+    elif outcome[0] is DatasetError:
+        assert "outside declared bounds" in outcome[1] or not outcome[1].startswith("line ")
+
+
 class TestColumnReader:
     """Every well-formed spelling is read by columns; the row-by-row walk only names parse errors."""
 
