@@ -68,15 +68,13 @@ class AntigenAgent:
     """One record in flight, awaiting one context bit per DC pick.
 
     ``received`` counts the bits that have arrived and ``ones`` those equal
-    to 1. ``mcav`` stays None until all ``expected_contexts`` have arrived.
+    to 1. The engine keys each one by its antigen id.
     """
 
-    antigen_id: int
     true_label: Category
     expected_contexts: int
     received: int = 0
     ones: int = 0
-    mcav: float | None = None
 
 
 def below(rng: random.Random, n: int) -> int:
@@ -111,7 +109,7 @@ def sample_dcs(n: int, k: int, rng: random.Random) -> list[int]:
     return picked
 
 
-def dc_handle_picked(dc: DCAgent, antigen_id: int, out: tuple[float, float, float]) -> DCAgent:
+def dc_handle_picked(dc: DCAgent, antigen_id: int, out: tuple[float, float, float]) -> None:
     """Process one pick: record the antigen and add its (csm, semi, mat) in place.
 
     Each of the three sums gets one addition per pick, in pick order, so
@@ -122,7 +120,6 @@ def dc_handle_picked(dc: DCAgent, antigen_id: int, out: tuple[float, float, floa
     dc.cum_csm += csm
     dc.cum_semi += semi
     dc.cum_mat += mat
-    return dc
 
 
 def dc_should_migrate(dc: DCAgent) -> bool:
@@ -143,13 +140,13 @@ def dc_decide_context(dc: DCAgent) -> tuple[str, int]:
     return "mature", 1
 
 
-def antigen_handle_context(ag: AntigenAgent, bit: int) -> AntigenAgent:
-    """Count one context bit; set the MCAV, ones / received, once the last bit arrives."""
+def antigen_handle_context(ag: AntigenAgent, bit: int) -> float | None:
+    """Count one context bit; return the MCAV, ones / received, on the last bit and None before it."""
     ag.received += 1
     ag.ones += bit
     if ag.received == ag.expected_contexts:
-        ag.mcav = ag.ones / ag.received
-    return ag
+        return ag.ones / ag.received
+    return None
 
 
 def compute_mcav(contexts: Sequence[int]) -> float:

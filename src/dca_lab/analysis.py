@@ -57,7 +57,7 @@ class Metrics:
     mean_mcav_anomalous: float | None
 
 
-def build_histogram(mcavs, bins: int = 10) -> MCAVHistogram:
+def build_histogram(mcavs, bins: int) -> MCAVHistogram:
     """Bin MCAVs into ``bins`` equal-width bins over [0, 1].
 
     A value v falls in the bin i with edges[i] <= v < edges[i + 1], where

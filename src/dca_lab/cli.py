@@ -20,7 +20,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
@@ -107,9 +106,13 @@ def load_config(path: Path) -> SimConfig:
 
 @contextmanager
 def _atomic_stream(path: Path) -> Iterator[IO[str]]:
-    """A text stream to a temp file, renamed onto ``path`` if the block ends without error, else deleted."""
+    """A text stream to a temp file, renamed onto ``path`` if the block ends without error, else deleted.
+
+    The temp file is created as ``open`` creates a file, so ``path`` takes the umask's mode.
+    """
     # Temp file in the target directory so the rename stays on one filesystem.
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle

@@ -78,14 +78,12 @@ class AttributePolicy:
             raise InvalidConfigError(f"lo must be below hi, with hi - lo finite, got [{self.lo}, {self.hi}]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSummary:
-    rows_read: int = 0
-    rows_skipped: int = 0
-    records_produced: int = 0
-    label_counts: dict[Category, int] = field(
-        default_factory=lambda: {Category.NORMAL: 0, Category.ANOMALOUS: 0}
-    )
+    rows_read: int
+    rows_skipped: int
+    records_produced: int
+    label_counts: dict[Category, int]
 
 
 def normalize_attribute(value: float, lo: float, hi: float) -> float:
@@ -135,7 +133,7 @@ def _ascii_int(text: str, what: str) -> int:
 _LABELS = {NORMAL_CLASS_CODE: Category.NORMAL, ANOMALOUS_CLASS_CODE: Category.ANOMALOUS}
 
 
-def _median_low(counts: Counter, key=None):
+def _median_low(counts: Counter, key):
     """``statistics.median_low`` of the counted items, ordered by ``key``: the one at sorted index (n - 1) // 2."""
     values = sorted(counts, key=key)
     ends = list(accumulate(counts[v] for v in values))  # ends[j]: how many are <= values[j]

@@ -109,9 +109,6 @@ class SimConfig:
     seed: int = field(default=0, metadata={"row": Field(int, 0, MAX_SEED, note="64-bit unsigned rng seed; identical seed + inputs reproduce a run exactly")})
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         """Check this config's own rows, then its two cross-field rules.
 
         A component row checks only the kind: components check themselves.
@@ -187,24 +184,14 @@ def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
     )
 
 
-def _finalize_antigen(
-    world: World, config: SimConfig, ag: AntigenAgent, trace: TraceLog | None
-) -> None:
-    predicted = classify_antigen(ag.mcav, config.anomalous_threshold)
-    # tuple.__new__ builds the result in C, as ingest builds each AntigenRecord.
-    world.results.append(tuple.__new__(ClassificationResult, (ag.antigen_id, ag.mcav, predicted, ag.true_label)))
-    del world.antigens_in_flight[ag.antigen_id]
-    if trace is not None:
-        trace.emit(f"{world.tick},finalize,{ag.antigen_id},{ag.mcav!r};{CATEGORY_TEXT[predicted]}\r\n")
-
-
 def _vote(
     world: World, config: SimConfig, dc: DCAgent, event: str, trace: TraceLog | None
 ) -> None:
     """Decide the DC's context, trace it as ``event``, and send its bit to every sampled antigen.
 
     ``event`` is ``migrate`` or ``flush_migrate``. Bits go out in sample
-    order, with multiplicity.
+    order, with multiplicity. An antigen whose last bit this is gets its
+    result and leaves ``antigens_in_flight`` on the spot.
     """
     name, bit = dc_decide_context(dc)
     if trace is not None:
@@ -217,12 +204,17 @@ def _vote(
                 f"tick {world.tick}: DC {dc.dc_id} voted for antigen {antigen_id} "
                 "which is not in flight"
             )
-        antigen_handle_context(ag, bit)
+        mcav = antigen_handle_context(ag, bit)
         world.contexts_delivered += 1
         if trace is not None:
             trace.emit(f"{world.tick},context,{dc.dc_id};{antigen_id},{bit}\r\n")
-        if ag.mcav is not None:  # that was its last bit
-            _finalize_antigen(world, config, ag, trace)
+        if mcav is not None:  # that was its last bit
+            predicted = classify_antigen(mcav, config.anomalous_threshold)
+            # tuple.__new__ builds the result in C, as ingest builds each AntigenRecord.
+            world.results.append(tuple.__new__(ClassificationResult, (antigen_id, mcav, predicted, ag.true_label)))
+            del in_flight[antigen_id]
+            if trace is not None:
+                trace.emit(f"{world.tick},finalize,{antigen_id},{mcav!r};{CATEGORY_TEXT[predicted]}\r\n")
     world.samples_retired += len(dc.sampled)
 
 
@@ -249,7 +241,7 @@ def _migrate(
         trace.emit(f"{world.tick},replace,{old_id};{dc.dc_id},{dc.migration_threshold!r}\r\n")
 
 
-def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> World:
+def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None:
     """Execute one logical tick.
 
     Order within the tick: spawn the head record (if any), deliver its k
@@ -262,11 +254,11 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
     """
     if world.pending:
         record = world.pending.popleft()
+        antigen_id = record.antigen_id
         k = config.dcs_per_antigen
-        ag = AntigenAgent(record.antigen_id, record.true_label, k)
-        world.antigens_in_flight[ag.antigen_id] = ag
+        world.antigens_in_flight[antigen_id] = AntigenAgent(record.true_label, k)
         if trace is not None:
-            trace.emit(f"{world.tick},spawn,{ag.antigen_id},{CATEGORY_TEXT[ag.true_label]}\r\n")
+            trace.emit(f"{world.tick},spawn,{antigen_id},{CATEGORY_TEXT[record.true_label]}\r\n")
 
         # The output triple depends only on the record and the config, so
         # it is computed once and added to each of the k picked DCs.
@@ -277,16 +269,15 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> Worl
         dcs = world.dcs
         for position in sample_dcs(len(dcs), k, world.rng):
             dc = dcs[position]
-            dc_handle_picked(dc, ag.antigen_id, out)
+            dc_handle_picked(dc, antigen_id, out)
             if trace is not None:
-                trace.emit(f"{world.tick},pick,{ag.antigen_id};{dc.dc_id},\r\n")
+                trace.emit(f"{world.tick},pick,{antigen_id};{dc.dc_id},\r\n")
             if dc_should_migrate(dc):
                 _migrate(world, config, position, trace)
     world.tick += 1
-    return world
 
 
-def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> World:
+def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> None:
     """Force every sample-holding DC to vote on its current cumulative values.
 
     Sample-free DCs are discarded silently; afterwards no antigen may
@@ -304,7 +295,6 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Wor
         raise EngineFaultError(
             f"{len(world.antigens_in_flight)} antigens still lack contexts after flush"
         )
-    return world
 
 
 def _check_records(config: SimConfig, records: Sequence[AntigenRecord]) -> None:

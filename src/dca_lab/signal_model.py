@@ -98,9 +98,9 @@ DEFAULT_WEIGHT_MATRIX = WeightMatrix(
 )
 
 
-def default_signal_mapping(attribute_count: int = 9) -> SignalMapping:
-    """Neutral mapping: every attribute feeds every signal, safe complemented."""
-    everything = tuple(range(attribute_count))
+def default_signal_mapping() -> SignalMapping:
+    """Neutral mapping: every one of the dataset's nine attributes feeds every signal, safe complemented."""
+    everything = tuple(range(9))
     return SignalMapping(everything, everything, everything, safe_is_complement=True)
 
 

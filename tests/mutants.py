@@ -1,4 +1,4 @@
-"""Mutation gate: each of the 42 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 44 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -66,7 +66,7 @@ MUTANTS = [
     # The sampler's swap forgets the slot it moves out of position i.
     Mutant("agents.py", "swapped[j] = swapped.pop(i, i)", "swapped[j] = i",
            ("tests/test_agents.py::TestSampleDcs::test_matches_dense_shuffle_and_rng_state",)),
-    Mutant("engine.py", "pick,{ag.antigen_id};{dc.dc_id},", "pick,{ag.antigen_id};{dc.dc_id}",
+    Mutant("engine.py", "pick,{antigen_id};{dc.dc_id},", "pick,{antigen_id};{dc.dc_id}",
            ("tests/test_golden.py::test_corpus_bytes_are_pinned[default]",)),
     Mutant("cli.py", "{mcav:.6f}", "{mcav:.6g}",
            ("tests/test_golden.py::test_corpus_bytes_are_pinned[default]",)),
@@ -151,6 +151,13 @@ MUTANTS = [
     # A bad field echoed whole: 5000 characters make a 5000-character line.
     Mutant("data_ingest.py", "{what} {brief(text)} is not ASCII digits", "{what} {text!r} is not ASCII digits",
            ("tests/test_cli.py::TestDatasetGrammar::test_long_field_is_echoed_cut_short[5000_character_field]",)),
+    # A finished antigen stays in flight: the flush's check finds it left over.
+    Mutant("engine.py", "            del in_flight[antigen_id]\n", "            pass\n",
+           ("tests/test_engine.py::TestFlush::test_unreachable_thresholds_resolve_everything_at_flush",
+            "tests/test_engine.py::TestRun::test_every_record_classified_exactly_once")),
+    # Output files are owner-only whatever the umask.
+    Mutant("cli.py", "os.O_EXCL, 0o666)", "os.O_EXCL, 0o600)",
+           ("tests/test_cli.py::TestRunCommand::test_output_files_take_the_umasks_mode[umask_022]",)),
 ]
 
 

@@ -50,12 +50,8 @@ def dense_sample(n, k, rng):
     return pool[:k]
 
 
-def fresh_antigen(k=4, aid=0) -> AntigenAgent:
-    return AntigenAgent(
-        antigen_id=aid,
-        true_label=Category.NORMAL,
-        expected_contexts=k,
-    )
+def fresh_antigen(k=4) -> AntigenAgent:
+    return AntigenAgent(true_label=Category.NORMAL, expected_contexts=k)
 
 
 class TestOwnedDraws:
@@ -193,29 +189,24 @@ class TestMigrationAndContext:
 
 
 class TestAntigenHandleContext:
-    def test_completion_sets_mcav(self):
+    def test_last_bit_returns_mcav(self):
         ag = fresh_antigen(k=4)
-        for bit in (1, 0, 1):
-            antigen_handle_context(ag, bit)
-        assert ag.mcav is None
-        antigen_handle_context(ag, 1)
-        assert ag.mcav == 0.75
+        assert [antigen_handle_context(ag, bit) for bit in (1, 0, 1)] == [None, None, None]
+        assert antigen_handle_context(ag, 1) == 0.75
 
-    def test_incomplete_leaves_mcav_undefined(self):
+    def test_bit_before_the_last_returns_none(self):
         ag = fresh_antigen(k=2)
-        antigen_handle_context(ag, 0)
+        assert antigen_handle_context(ag, 0) is None
         assert (ag.received, ag.ones) == (1, 0)
-        assert ag.mcav is None
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=50))
     def test_mcav_equals_fraction_of_one_votes(self, bits):
         ag = fresh_antigen(k=len(bits))
-        for bit in bits:
-            assert ag.mcav is None  # not before the k-th bit
-            antigen_handle_context(ag, bit)
+        returned = [antigen_handle_context(ag, bit) for bit in bits]
+        assert returned[:-1] == [None] * (len(bits) - 1)  # not before the k-th bit
         assert (ag.received, ag.ones) == (len(bits), sum(bits))
-        assert ag.mcav == sum(bits) / len(bits)
-        assert ag.mcav == compute_mcav(bits)
+        assert returned[-1] == sum(bits) / len(bits)
+        assert returned[-1] == compute_mcav(bits)
 
 
 class TestComputeMcav:

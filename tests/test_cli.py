@@ -282,6 +282,20 @@ class TestRunCommand:
         assert main(argv) == {"config": EXIT_CONFIG, "engine": EXIT_ENGINE}[fault]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"])
+    def test_output_files_take_the_umasks_mode(self, tmp_path, umask, mode):
+        data = write_dataset(tmp_path / "d.data", rows=4)
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            assert main(["run", "--data", str(data), "--out", str(out), "--trace"]) == EXIT_OK
+            assert main(["gen-config", "--out", str(out / "config.json")]) == EXIT_OK
+        finally:
+            os.umask(previous)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        names = ["config.json", "histogram.csv", "report.json", "results.csv", "trace.csv"]
+        assert modes == dict.fromkeys(names, mode)
+
 
 def run_cli_process(*args):
     """Run the CLI in a fresh interpreter, as a user would, and capture stderr."""

@@ -25,7 +25,7 @@ from dca_lab.engine import (
     run,
     step,
 )
-from dca_lab.signal_model import CumulativeSignals, SignalMapping
+from dca_lab.signal_model import CumulativeSignals, SignalMapping, WeightMatrix
 
 
 def small_config(**overrides) -> SimConfig:
@@ -50,33 +50,33 @@ def run_world(config, records):
 
 class TestSimConfig:
     def test_defaults_are_valid(self):
-        SimConfig().validate()
+        SimConfig()
 
     def test_population_must_be_positive(self):
         with pytest.raises(InvalidConfigError):
-            SimConfig(population_size=0).validate()
+            SimConfig(population_size=0)
 
     def test_k_cannot_exceed_population(self):
         with pytest.raises(InvalidConfigError):
-            SimConfig(population_size=5, dcs_per_antigen=6).validate()
+            SimConfig(population_size=5, dcs_per_antigen=6)
 
     def test_threshold_range_must_be_positive_and_ordered(self):
         with pytest.raises(InvalidConfigError):
-            SimConfig(threshold_range=(0.0, 10.0)).validate()
+            SimConfig(threshold_range=(0.0, 10.0))
         with pytest.raises(InvalidConfigError):
-            SimConfig(threshold_range=(10.0, 5.0)).validate()
+            SimConfig(threshold_range=(10.0, 5.0))
         with pytest.raises(InvalidConfigError):
-            SimConfig(threshold_range=(100.0, math.inf)).validate()
+            SimConfig(threshold_range=(100.0, math.inf))
 
     def test_anomalous_threshold_bounds(self):
         with pytest.raises(InvalidConfigError):
-            SimConfig(anomalous_threshold=1.5).validate()
+            SimConfig(anomalous_threshold=1.5)
 
     def test_seed_bounds(self):
         with pytest.raises(InvalidConfigError):
-            SimConfig(seed=2**64).validate()
+            SimConfig(seed=2**64)
         with pytest.raises(InvalidConfigError):
-            SimConfig(seed=-1).validate()
+            SimConfig(seed=-1)
 
     @pytest.mark.parametrize(
         ("kwargs", "message"),
@@ -201,7 +201,7 @@ def flush_world(sampled_lists, in_flight_ids):
         dc.sampled = list(sampled)
         dcs.append(dc)
     antigens = {
-        aid: AntigenAgent(antigen_id=aid, true_label=Category.NORMAL, expected_contexts=1)
+        aid: AntigenAgent(true_label=Category.NORMAL, expected_contexts=1)
         for aid in in_flight_ids
     }
     return World(
@@ -477,6 +477,26 @@ class TestOracleParityCorners:
         world = run_world(config, records)
         assert {r.antigen_id: r.mcav for r in world.results} == oracle_mcavs(config, records)
         assert world.next_dc_id > 5000  # some DCs migrated mid-run
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**64 - 1),
+           st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
+    def test_zero_csm_column_leaves_every_vote_to_the_flush(self, data, population, n_records, seed, weights):
+        # With no csm no DC ever migrates, so every bit comes from the flush.
+        records = make_records(random.Random(seed), n_records, 3)
+        config = small_config(
+            population_size=population,
+            dcs_per_antigen=data.draw(st.integers(1, population)),
+            weight_matrix=WeightMatrix((0.0, *weights[0:2]), (0.0, *weights[2:4]), (0.0, *weights[4:6])),
+            signal_mapping=SignalMapping((0,), (1, 2), (0, 2)),
+            seed=seed,
+        )
+        world = init_world(config, records)
+        while world.pending:
+            step(world, config)
+        assert (world.contexts_delivered, world.next_dc_id) == (0, population)
+        flush(world, config)
+        assert {r.antigen_id: r.mcav for r in world.results} == oracle_mcavs(config, records)
 
 
 class TestDeskScaleShape:
