@@ -13,14 +13,26 @@ tuple, fused once into one (csm, semi, mat) tuple; ``sample_dcs(n, k,
 rng)`` returns the k picked list positions; a pick adds the triple to
 the DC's float sums in place; a vote hands the antigen a plain int bit;
 and a migrated DC object is reset in place as its replacement, with a
-fresh id and threshold (only its ``sampled`` list is new). Trace rows
-are built only when a trace is being written: each is one f-string in
-``trace.csv``'s exact format, handed to ``TraceLog.emit``, which writes
-it straight to the stream. ``run`` calls
-``step``, ``_migrate`` and ``flush``, and the engine calls the agent and
-signal functions, through their module-level names, once per tick,
-migration, pick, bit or antigen; ``benchmarks/layers.py`` times the run
-by wrapping those names.
+fresh id and threshold and its ``sampled`` list cleared.
+
+Of the package's own functions, the tick loop calls only those that
+``benchmarks/layers.py`` wraps to time a run, each through its
+module-level name and at a fixed grain:
+``step`` once per tick, ``sample_dcs`` and the two signal functions once
+per antigen, ``dc_handle_picked`` once per pick, ``_migrate`` once per
+natural migration, ``antigen_handle_context`` once per bit and
+``TraceLog.emit`` once per trace row. The three decision rules are
+applied inline, as the strict comparisons ``agents.dc_should_migrate``,
+``dc_decide_context`` and ``classify_antigen`` state them.
+
+Trace rows are built only when a trace is being written, each in
+``trace.csv``'s exact format and handed whole to ``TraceLog.emit``,
+which writes it straight to the stream. In a run traced from its first
+tick, no row formats an integer or MCAV that an earlier row formatted: an antigen's id text is made at its spawn and
+kept on the ``AntigenAgent``; a DC's at its first traced pick or its
+traced replacement and kept on the ``DCAgent`` until its id changes; the
+``"<tick>,"`` head once per tick; a vote's ``context`` row head and tail
+once per vote; and each distinct MCAV's ``repr`` once per ``TraceLog``.
 
 ``run`` checks its records once, before the first tick: the mapping
 fits them, their attributes lie in [0, 1] and their ids are distinct.
@@ -29,8 +41,9 @@ fits them, their attributes lie in [0, 1] and their ids are distinct.
 Randomness comes from a single ``random.Random`` (Mersenne Twister)
 stream seeded from the config, with a fixed draw order: the N initial
 migration thresholds in DC-index order at world creation, then per tick
-the k subset draws for the spawned antigen (one ``agents.below`` each)
-followed by one replacement threshold per migration, in migration order.
+the k subset draws for the spawned antigen (one draw below the shrinking
+pool size each, in ``agents.sample_dcs``) followed by one replacement
+threshold per migration, in migration order.
 A threshold is ``t_min + (t_max - t_min) * rng.random()``, today's
 ``uniform``: both draws use only the generator output that Python keeps
 stable across versions. Identical (config, records) therefore give
@@ -51,12 +64,10 @@ from typing import IO, Sequence
 from .agents import (
     CATEGORY_TEXT,
     AntigenAgent,
+    Category,
     DCAgent,
     antigen_handle_context,
-    classify_antigen,
-    dc_decide_context,
     dc_handle_picked,
-    dc_should_migrate,
     sample_dcs,
 )
 from .analysis import (
@@ -82,6 +93,11 @@ MAX_SEED = 2**64 - 1
 #: Largest population_size and histogram_bins: larger values are rejected
 #: before anything is allocated.
 MAX_SIZE = 10**6
+#: By context bit, the tail of a vote's trace rows: the ``migrate`` or
+#: ``flush_migrate`` row's values (the state the DC takes, then the bit)
+#: and each ``context`` row's value.
+_VOTE_TAIL = (",semimature;0\r\n", ",mature;1\r\n")
+_CONTEXT_TAIL = (",0\r\n", ",1\r\n")
 
 
 class EngineFaultError(RuntimeError):
@@ -121,7 +137,7 @@ class SimConfig:
             raise InvalidConfigError(f"threshold_range must satisfy t_min <= t_max, got [{t_min}, {t_max}]")
 
 
-@dataclass
+@dataclass(slots=True)
 class World:
     """Complete simulation state; confined to one thread of control at a time."""
 
@@ -158,6 +174,12 @@ class TraceLog:
 
     def __init__(self, stream: IO[str]):
         self._stream = stream
+        #: ``"<tick>,"``, the head of every row of the tick being traced;
+        #: the engine sets it once per tick and once at the flush.
+        self.head = ""
+        #: Each distinct MCAV's ``repr``, made at its first ``finalize`` row.
+        #: MCAVs are j / k, so there are at most k + 1 of them.
+        self.mcav_texts: dict[float, str] = {}
         stream.write("tick,event_kind,ids,values\r\n")
 
     def emit(self, row: str) -> None:
@@ -189,13 +211,21 @@ def _vote(
 ) -> None:
     """Decide the DC's context, trace it as ``event``, and send its bit to every sampled antigen.
 
-    ``event`` is ``migrate`` or ``flush_migrate``. Bits go out in sample
-    order, with multiplicity. An antigen whose last bit this is gets its
-    result and leaves ``antigens_in_flight`` on the spot.
+    ``event`` is ``migrate`` or ``flush_migrate``. The bit is 0
+    (semimature) iff cum_semi > cum_mat, ties going to mature (1), as
+    ``agents.dc_decide_context`` states it. Bits go out in sample order,
+    with multiplicity. An antigen whose last bit this is gets its result,
+    anomalous iff its MCAV strictly exceeds ``anomalous_threshold`` (as
+    ``agents.classify_antigen`` states it), and leaves
+    ``antigens_in_flight`` on the spot.
     """
-    name, bit = dc_decide_context(dc)
+    bit = 0 if dc.cum_semi > dc.cum_mat else 1
     if trace is not None:
-        trace.emit(f"{world.tick},{event},{dc.dc_id},{name};{bit}\r\n")
+        emit, head = trace.emit, trace.head
+        dc_text = dc.id_text or str(dc.dc_id)
+        emit(f"{head}{event},{dc_text}{_VOTE_TAIL[bit]}")
+        context_head = f"{head}context,{dc_text};"
+        context_tail = _CONTEXT_TAIL[bit]
     in_flight = world.antigens_in_flight
     for antigen_id in dc.sampled:
         ag = in_flight.get(antigen_id)
@@ -207,38 +237,44 @@ def _vote(
         mcav = antigen_handle_context(ag, bit)
         world.contexts_delivered += 1
         if trace is not None:
-            trace.emit(f"{world.tick},context,{dc.dc_id};{antigen_id},{bit}\r\n")
+            # An antigen spawned in an untraced tick has no text: its id is formatted here.
+            emit(f"{context_head}{ag.id_text or antigen_id}{context_tail}")
         if mcav is not None:  # that was its last bit
-            predicted = classify_antigen(mcav, config.anomalous_threshold)
+            predicted = Category.ANOMALOUS if mcav > config.anomalous_threshold else Category.NORMAL
             # tuple.__new__ builds the result in C, as ingest builds each AntigenRecord.
             world.results.append(tuple.__new__(ClassificationResult, (antigen_id, mcav, predicted, ag.true_label)))
             del in_flight[antigen_id]
             if trace is not None:
-                trace.emit(f"{world.tick},finalize,{antigen_id},{mcav!r};{CATEGORY_TEXT[predicted]}\r\n")
+                mcav_text = trace.mcav_texts.get(mcav)
+                if mcav_text is None:
+                    mcav_text = trace.mcav_texts[mcav] = repr(mcav)
+                emit(f"{head}finalize,{ag.id_text or antigen_id},{mcav_text};{CATEGORY_TEXT[predicted]}\r\n")
     world.samples_retired += len(dc.sampled)
 
 
-def _migrate(
-    world: World, config: SimConfig, position: int, trace: TraceLog | None
-) -> None:
+def _migrate(world: World, config: SimConfig, dc: DCAgent, trace: TraceLog | None) -> None:
     """Decide and vote, then reset the DC in place as its replacement.
 
     The replacement gets the next DC id, a fresh threshold, zeroed sums
-    and an empty ``sampled`` list. The threshold is drawn after the votes,
-    keeping the rng draw order spawn-picks-then-replacements within each
-    tick.
+    and an emptied ``sampled`` list. The threshold is drawn after the
+    votes, keeping the rng draw order spawn-picks-then-replacements within
+    each tick. The DC's id text is remade for the new id when traced and
+    dropped when not, so it never names the old id.
     """
-    dc = world.dcs[position]
     _vote(world, config, dc, "migrate", trace)
-    old_id = dc.dc_id
+    old_text = dc.id_text
     t_min, t_max = config.threshold_range
     dc.dc_id = world.next_dc_id
+    world.next_dc_id += 1
     dc.migration_threshold = t_min + (t_max - t_min) * world.rng.random()
     dc.cum_csm = dc.cum_semi = dc.cum_mat = 0.0
-    dc.sampled = []
-    world.next_dc_id += 1
-    if trace is not None:
-        trace.emit(f"{world.tick},replace,{old_id};{dc.dc_id},{dc.migration_threshold!r}\r\n")
+    dc.sampled.clear()
+    if trace is None:
+        dc.id_text = None
+    else:
+        # A traced migration follows the DC's traced pick, which made old_text.
+        dc.id_text = str(dc.dc_id)
+        trace.emit(f"{trace.head}replace,{old_text};{dc.id_text},{dc.migration_threshold!r}\r\n")
 
 
 def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None:
@@ -248,17 +284,25 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
     picks in pick order with a migration check after each delivery,
     migrating DCs vote immediately and are replaced at the same list
     position, and any antigen reaching k contexts is finalized on the spot.
-    The DC population size is invariant across the tick. The picks are
-    list positions drawn without touching the other N - k DCs, so a tick
-    costs O(k) plus the migrations it triggers.
+    A DC migrates iff its cum_csm strictly exceeds its threshold, as
+    ``agents.dc_should_migrate`` states it. The DC population size is
+    invariant across the tick. The picks are list positions drawn without
+    touching the other N - k DCs, so a tick costs O(k) plus the
+    migrations it triggers.
     """
     if world.pending:
         record = world.pending.popleft()
         antigen_id = record.antigen_id
         k = config.dcs_per_antigen
-        world.antigens_in_flight[antigen_id] = AntigenAgent(record.true_label, k)
-        if trace is not None:
-            trace.emit(f"{world.tick},spawn,{antigen_id},{CATEGORY_TEXT[record.true_label]}\r\n")
+        if trace is None:
+            world.antigens_in_flight[antigen_id] = AntigenAgent(record.true_label, k)
+        else:
+            head = trace.head = f"{world.tick},"
+            antigen_text = str(antigen_id)
+            world.antigens_in_flight[antigen_id] = AntigenAgent(record.true_label, k, antigen_text)
+            emit = trace.emit
+            emit(f"{head}spawn,{antigen_text},{CATEGORY_TEXT[record.true_label]}\r\n")
+            pick_head = f"{head}pick,{antigen_text};"
 
         # The output triple depends only on the record and the config, so
         # it is computed once and added to each of the k picked DCs.
@@ -271,9 +315,12 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
             dc = dcs[position]
             dc_handle_picked(dc, antigen_id, out)
             if trace is not None:
-                trace.emit(f"{world.tick},pick,{antigen_id};{dc.dc_id},\r\n")
-            if dc_should_migrate(dc):
-                _migrate(world, config, position, trace)
+                dc_text = dc.id_text
+                if dc_text is None:
+                    dc_text = dc.id_text = str(dc.dc_id)
+                emit(f"{pick_head}{dc_text},\r\n")
+            if dc.cum_csm > dc.migration_threshold:
+                _migrate(world, config, dc, trace)
     world.tick += 1
 
 
@@ -285,11 +332,13 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Non
     """
     if world.pending:
         raise EngineFaultError("flush called with records still pending")
+    if trace is not None:
+        trace.head = f"{world.tick},"
     for dc in world.dcs:
         if dc.sampled:
             _vote(world, config, dc, "flush_migrate", trace)
         elif trace is not None:
-            trace.emit(f"{world.tick},discard,{dc.dc_id},\r\n")
+            trace.emit(f"{trace.head}discard,{dc.id_text or dc.dc_id},\r\n")
     world.dcs.clear()
     if world.antigens_in_flight:
         raise EngineFaultError(

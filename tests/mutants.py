@@ -1,4 +1,4 @@
-"""Mutation gate: each of the 44 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 50 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -59,14 +59,14 @@ MUTANTS = [
     # Any JSON object is read as a component: {"seed": {}} crashes with TypeError.
     Mutant("cli.py", "    if dataclasses.is_dataclass(f.kind) and isinstance(value, dict):\n", "    if isinstance(value, dict):\n",
            ("tests/test_cli.py::TestRejectedInputs::test_config_value_rejected_with_exit_4[object_seed]",)),
-    Mutant("agents.py", "    bits = n.bit_length()\n", "    bits = (n - 1).bit_length()\n",
-           ("tests/test_agents.py::TestOwnedDraws::test_below_matches_randrange",)),
+    Mutant("agents.py", "        bits = size.bit_length()\n", "        bits = (size - 1).bit_length()\n",
+           ("tests/test_agents.py::TestSampleDcs::test_single_pick_matches_randrange",)),
     Mutant("engine.py", "t_min + (t_max - t_min) * world.rng.random()", "t_max - (t_max - t_min) * world.rng.random()",
            ("tests/test_engine.py::TestRun::test_matches_reference_loop_on_twenty_records",)),
     # The sampler's swap forgets the slot it moves out of position i.
     Mutant("agents.py", "swapped[j] = swapped.pop(i, i)", "swapped[j] = i",
            ("tests/test_agents.py::TestSampleDcs::test_matches_dense_shuffle_and_rng_state",)),
-    Mutant("engine.py", "pick,{antigen_id};{dc.dc_id},", "pick,{antigen_id};{dc.dc_id}",
+    Mutant("engine.py", "{pick_head}{dc_text},", "{pick_head}{dc_text}",
            ("tests/test_golden.py::test_corpus_bytes_are_pinned[default]",)),
     Mutant("cli.py", "{mcav:.6f}", "{mcav:.6g}",
            ("tests/test_golden.py::test_corpus_bytes_are_pinned[default]",)),
@@ -103,6 +103,21 @@ MUTANTS = [
            ("tests/test_data_ingest.py::TestLoadDataset::test_lowest_column_with_nothing_to_impute_from_is_named",)),
     Mutant("agents.py", "    if dc.cum_semi > dc.cum_mat:\n", "    if dc.cum_mat > dc.cum_semi:\n",
            ("tests/test_agents.py::TestMigrationAndContext::test_semi_greater_goes_semimature",)),
+    # The engine's inline copies of the three decision rules, each at its tie or swapped.
+    Mutant("engine.py", "if dc.cum_csm > dc.migration_threshold:", "if dc.cum_csm >= dc.migration_threshold:",
+           ("tests/test_engine.py::TestInlineRules::test_csm_equal_to_the_threshold_does_not_migrate",)),
+    Mutant("engine.py", "0 if dc.cum_semi > dc.cum_mat else 1", "0 if dc.cum_semi >= dc.cum_mat else 1",
+           ("tests/test_engine.py::TestInlineRules::test_vote_is_semimature_only_when_semi_exceeds_mat[tie]",)),
+    Mutant("engine.py", "0 if dc.cum_semi > dc.cum_mat else 1", "0 if dc.cum_mat > dc.cum_semi else 1",
+           ("tests/test_engine.py::TestInlineRules::test_vote_is_semimature_only_when_semi_exceeds_mat[semi_greater]",)),
+    Mutant("engine.py", "if mcav > config.anomalous_threshold else", "if mcav >= config.anomalous_threshold else",
+           ("tests/test_engine.py::TestInlineRules::test_anomalous_only_when_the_mcav_exceeds_the_threshold[mcav_one_at_threshold_one]",)),
+    # A DC replaced untraced keeps its old id text, and a later traced row names the old id.
+    Mutant("engine.py", "        dc.id_text = None\n", "        pass\n",
+           ("tests/test_trace.py::test_rows_of_a_partly_traced_world_name_the_right_ids",)),
+    # A context row for an antigen spawned untraced prints None for its id.
+    Mutant("engine.py", "{context_head}{ag.id_text or antigen_id}", "{context_head}{ag.id_text}",
+           ("tests/test_trace.py::test_rows_of_a_partly_traced_world_name_the_right_ids",)),
     Mutant("engine.py", "        if ag is None:  # never owed a bit, or already got its last one\n", "        if False:\n",
            ("tests/test_engine.py::TestFlush::test_bit_for_an_antigen_not_in_flight_is_engine_fault",)),
     # The range check lets NaN through: NaN fails every comparison.

@@ -11,7 +11,6 @@ from dca_lab.agents import (
     Category,
     DCAgent,
     antigen_handle_context,
-    below,
     classify_antigen,
     compute_mcav,
     dc_decide_context,
@@ -55,16 +54,10 @@ def fresh_antigen(k=4) -> AntigenAgent:
 
 
 class TestOwnedDraws:
-    """The run's two draws, written out, against ``randrange`` and ``uniform`` on this interpreter."""
+    """The threshold draw, written out, against ``uniform`` on this interpreter.
 
-    @given(st.integers(1, 2**70) | st.integers(0, 70).map(lambda e: 2**e),
-           st.integers(0, 2**64 - 1), st.integers(1, 30))
-    @example(n=1, seed=0, draws=3)
-    @example(n=2**31 + 5, seed=1, draws=3)
-    def test_below_matches_randrange(self, n, seed, draws):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        assert [below(ours, n) for _ in range(draws)] == [theirs.randrange(n) for _ in range(draws)]
-        assert ours.getstate() == theirs.getstate()
+    The pick draw is checked against ``randrange`` in ``TestSampleDcs``.
+    """
 
     @given(st.floats(5e-324, 1e150), st.floats(1.0, 1e8), st.integers(0, 2**64 - 1))
     def test_threshold_draw_matches_uniform(self, t_min, scale, seed):
@@ -98,6 +91,17 @@ class TestSampleDcs:
         assert len(picked) == k
         assert len(set(picked)) == k
         assert set(picked) <= set(range(30))
+
+    @given(st.integers(1, 2**70) | st.integers(0, 70).map(lambda e: 2**e),
+           st.integers(0, 2**64 - 1), st.integers(1, 30))
+    @example(n=1, seed=0, draws=3)
+    @example(n=2**31 + 5, seed=1, draws=3)
+    def test_single_pick_matches_randrange(self, n, seed, draws):
+        # The dense-shuffle property below reaches only n <= 2000; one pick
+        # from a population of n is one draw below n, for any n.
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [sample_dcs(n, 1, ours) for _ in range(draws)] == [[theirs.randrange(n)] for _ in range(draws)]
+        assert ours.getstate() == theirs.getstate()
 
     @given(st.integers(1, 2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
            st.integers(0, 2**64 - 1))

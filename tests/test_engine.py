@@ -192,6 +192,74 @@ class TestStep:
                 assert (dc.cum, dc.sampled) == (CumulativeSignals(), [])
 
 
+    def test_tick_draws_every_pick_before_any_threshold(self):
+        # All-max records give csm = 300 per pick, above every threshold in
+        # [100, 299], so each of the k picks migrates its DC.
+        config = SimConfig(population_size=4, dcs_per_antigen=3, threshold_range=(100.0, 299.0), seed=11)
+        world = init_world(config, [AntigenRecord(0, 0, (1.0,) * 9, Category.ANOMALOUS)])
+        step(world, config)
+
+        replay = random.Random(config.seed)
+        for _ in range(4):
+            replay.random()
+        pool = list(range(4))
+        for i in range(3):
+            j = i + replay.randrange(4 - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        thresholds = [100.0 + (299.0 - 100.0) * replay.random() for _ in range(3)]
+        assert [(world.dcs[p].dc_id, world.dcs[p].migration_threshold) for p in pool[:3]] == [
+            (4 + i, t) for i, t in enumerate(thresholds)
+        ]
+        assert world.rng.getstate() == replay.getstate()
+
+
+class TestInlineRules:
+    """The engine's own copies of the decision rules, at their ties.
+
+    ``agents.dc_should_migrate``, ``dc_decide_context`` and
+    ``classify_antigen`` state the rules and acceptance criterion 5 tests
+    them; the engine applies the same strict comparisons inline.
+    """
+
+    # Attribute 0 feeds every signal uncomplemented: at 1.0 each signal is
+    # exactly 100, so a pick adds 100 times each column's sum, with no rounding.
+    MAPPING = SignalMapping((0,), (0,), (0,), safe_is_complement=False)
+    RECORDS = [AntigenRecord(i, i, (1.0,), Category.ANOMALOUS) for i in range(2)]
+
+    def config(self, weights, **overrides):
+        return SimConfig(population_size=1, dcs_per_antigen=1, signal_mapping=self.MAPPING,
+                         weight_matrix=weights, **overrides)
+
+    def test_csm_equal_to_the_threshold_does_not_migrate(self):
+        csm_only = WeightMatrix(pamp=(1.0, 0.0, 0.0), danger=(1.0, 0.0, 0.0), safe=(1.0, 0.0, 0.0))
+        config = self.config(csm_only, threshold_range=(300.0, 300.0))
+        world = init_world(config, self.RECORDS)
+        step(world, config)
+        assert (world.dcs[0].dc_id, world.dcs[0].cum_csm) == (0, 300.0)
+        step(world, config)
+        assert world.dcs[0].dc_id == 1
+
+    @pytest.mark.parametrize(
+        ("semi", "mat", "bit"),
+        [(2.0, 1.0, 0), (1.0, 1.0, 1), (1.0, 2.0, 1)],
+        ids=["semi_greater", "tie", "mat_greater"],
+    )
+    def test_vote_is_semimature_only_when_semi_exceeds_mat(self, semi, mat, bit):
+        weights = WeightMatrix(pamp=(1.0, semi, mat), danger=(0.0, 0.0, 0.0), safe=(0.0, 0.0, 0.0))
+        report = run(self.config(weights), self.RECORDS)
+        assert [r.mcav for r in report.results] == [float(bit)] * 2
+
+    @pytest.mark.parametrize(
+        ("semi", "anomalous_threshold", "predicted"),
+        [(0.0, 1.0, Category.NORMAL), (2.0, 0.0, Category.NORMAL), (0.0, 0.5, Category.ANOMALOUS)],
+        ids=["mcav_one_at_threshold_one", "mcav_zero_at_threshold_zero", "mcav_one_above_threshold"],
+    )
+    def test_anomalous_only_when_the_mcav_exceeds_the_threshold(self, semi, anomalous_threshold, predicted):
+        weights = WeightMatrix(pamp=(1.0, semi, 1.0), danger=(0.0, 0.0, 0.0), safe=(0.0, 0.0, 0.0))
+        report = run(self.config(weights, anomalous_threshold=anomalous_threshold), self.RECORDS)
+        assert [r.predicted for r in report.results] == [predicted] * 2
+
+
 def flush_world(sampled_lists, in_flight_ids):
     """A hand-built world at tick 5: one DC per sampled list, k=1 antigens in flight."""
     dcs = []
