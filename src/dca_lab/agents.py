@@ -140,7 +140,7 @@ def dc_handle_picked(dc: DCAgent, antigen_id: int, out: tuple[float, float, floa
 
 
 def dc_should_migrate(dc: DCAgent) -> bool:
-    """True iff cumulative csm strictly exceeds the migration threshold (reference rule; ``engine.step`` inlines it)."""
+    """True iff cumulative csm strictly exceeds the migration threshold. Reference rule; ``engine.step`` inlines it."""
     return dc.cum_csm > dc.migration_threshold
 
 
@@ -168,12 +168,12 @@ def antigen_handle_context(ag: AntigenAgent, bit: int) -> float | None:
 
 
 def compute_mcav(contexts: Sequence[int]) -> float:
-    """Fraction of context bits equal to 1: the antigen's anomaly probability (reference definition)."""
+    """Fraction of context bits equal to 1: the antigen's anomaly probability. Reference definition."""
     if not contexts:
         raise ValueError("MCAV needs at least one context")
     return sum(contexts) / len(contexts)
 
 
 def classify_antigen(mcav: float, anomalous_threshold: float) -> Category:
-    """Anomalous iff mcav strictly exceeds the threshold; Normal otherwise (reference rule; ``engine._vote`` inlines it)."""
+    """Anomalous iff mcav strictly exceeds the threshold. Reference rule; ``engine._vote`` inlines it."""
     return Category.ANOMALOUS if mcav > anomalous_threshold else Category.NORMAL

@@ -17,22 +17,24 @@ fresh id and threshold and its ``sampled`` list cleared.
 
 Of the package's own functions, the tick loop calls only those that
 ``benchmarks/layers.py`` wraps to time a run, each through its
-module-level name and at a fixed grain:
-``step`` once per tick, ``sample_dcs`` and the two signal functions once
-per antigen, ``dc_handle_picked`` once per pick, ``_migrate`` once per
-natural migration, ``antigen_handle_context`` once per bit and
-``TraceLog.emit`` once per trace row. The three decision rules are
+module-level name and at a fixed grain: ``step`` once per tick,
+``sample_dcs`` and the two signal functions once per antigen,
+``dc_handle_picked`` once per pick, ``_migrate`` once per natural
+migration, ``antigen_handle_context`` once per bit and ``TraceLog.emit``
+once per trace row. The three decision rules are
 applied inline, as the strict comparisons ``agents.dc_should_migrate``,
 ``dc_decide_context`` and ``classify_antigen`` state them.
 
 Trace rows are built only when a trace is being written, each in
 ``trace.csv``'s exact format and handed whole to ``TraceLog.emit``,
-which writes it straight to the stream. In a run traced from its first
-tick, no row formats an integer or MCAV that an earlier row formatted: an antigen's id text is made at its spawn and
-kept on the ``AntigenAgent``; a DC's at its first traced pick or its
-traced replacement and kept on the ``DCAgent`` until its id changes; the
-``"<tick>,"`` head once per tick; a vote's ``context`` row head and tail
-once per vote; and each distinct MCAV's ``repr`` once per ``TraceLog``.
+which writes it straight to the stream. A row is joined from text made
+once: an antigen's id at its spawn, kept on its ``AntigenAgent``; a DC's
+id at its first traced pick or traced replacement, kept on its
+``DCAgent`` until the id changes; the ``"<tick>,"`` head per tick; a
+vote's ``context`` row head and tail per vote; and each distinct MCAV's
+``repr`` per ``TraceLog``. An id without its text (an antigen spawned
+in an untraced tick, a DC not yet named in a traced row) is formatted in
+the row itself.
 
 ``run`` checks its records once, before the first tick: the mapping
 fits them, their attributes lie in [0, 1] and their ids are distinct.
@@ -43,8 +45,7 @@ stream seeded from the config, with a fixed draw order: the N initial
 migration thresholds in DC-index order at world creation, then per tick
 the k subset draws for the spawned antigen (one draw below the shrinking
 pool size each, in ``agents.sample_dcs``) followed by one replacement
-threshold per migration, in migration order.
-A threshold is ``t_min + (t_max - t_min) * rng.random()``, today's
+threshold per migration, in migration order. A threshold is ``t_min + (t_max - t_min) * rng.random()``, today's
 ``uniform``: both draws use only the generator output that Python keeps
 stable across versions. Identical (config, records) therefore give
 identical runs, including every rng-dependent field.
@@ -212,12 +213,10 @@ def _vote(
     """Decide the DC's context, trace it as ``event``, and send its bit to every sampled antigen.
 
     ``event`` is ``migrate`` or ``flush_migrate``. The bit is 0
-    (semimature) iff cum_semi > cum_mat, ties going to mature (1), as
-    ``agents.dc_decide_context`` states it. Bits go out in sample order,
-    with multiplicity. An antigen whose last bit this is gets its result,
-    anomalous iff its MCAV strictly exceeds ``anomalous_threshold`` (as
-    ``agents.classify_antigen`` states it), and leaves
-    ``antigens_in_flight`` on the spot.
+    (semimature) iff cum_semi > cum_mat, ties going to mature (1). Bits
+    go out in sample order, with multiplicity. An antigen whose last bit
+    this is gets its result, anomalous iff its MCAV strictly exceeds
+    ``anomalous_threshold``, and leaves ``antigens_in_flight`` on the spot.
     """
     bit = 0 if dc.cum_semi > dc.cum_mat else 1
     if trace is not None:
@@ -262,7 +261,6 @@ def _migrate(world: World, config: SimConfig, dc: DCAgent, trace: TraceLog | Non
     dropped when not, so it never names the old id.
     """
     _vote(world, config, dc, "migrate", trace)
-    old_text = dc.id_text
     t_min, t_max = config.threshold_range
     dc.dc_id = world.next_dc_id
     world.next_dc_id += 1
@@ -272,8 +270,8 @@ def _migrate(world: World, config: SimConfig, dc: DCAgent, trace: TraceLog | Non
     if trace is None:
         dc.id_text = None
     else:
-        # A traced migration follows the DC's traced pick, which made old_text.
-        dc.id_text = str(dc.dc_id)
+        # A traced migration follows the DC's traced pick, which made its old text.
+        old_text, dc.id_text = dc.id_text, str(dc.dc_id)
         trace.emit(f"{trace.head}replace,{old_text};{dc.id_text},{dc.migration_threshold!r}\r\n")
 
 
@@ -284,9 +282,8 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
     picks in pick order with a migration check after each delivery,
     migrating DCs vote immediately and are replaced at the same list
     position, and any antigen reaching k contexts is finalized on the spot.
-    A DC migrates iff its cum_csm strictly exceeds its threshold, as
-    ``agents.dc_should_migrate`` states it. The DC population size is
-    invariant across the tick. The picks are list positions drawn without
+    A DC migrates iff its cum_csm strictly exceeds its threshold. The DC
+    population size is invariant across the tick. The picks are list positions drawn without
     touching the other N - k DCs, so a tick costs O(k) plus the
     migrations it triggers.
     """

@@ -63,8 +63,8 @@ def trace_rows(text: str) -> list[list[str]]:
 
 
 def test_rows_of_a_partly_traced_world_name_the_right_ids():
-    # Five DCs, three picks a tick and low thresholds: DCs migrate in every
-    # phase, so some take a new id untraced and are picked again traced,
+    # Five DCs and three picks a tick: DCs migrate in every block of six
+    # ticks, so some take a new id untraced and are picked again traced,
     # and antigens spawned untraced get bits in a traced tick.
     config = SimConfig(population_size=5, dcs_per_antigen=3, threshold_range=(150.0, 400.0),
                        signal_mapping=SignalMapping((0, 1), (2,), (1, 2)), seed=3)
@@ -75,12 +75,9 @@ def test_rows_of_a_partly_traced_world_name_the_right_ids():
     partial = io.StringIO(newline="")
     trace = TraceLog(partial)
     world = init_world(config, records)
-    traced_ticks = set()
+    traced_ticks = {tick for tick in range(len(records)) if tick // 6 % 2}
     for tick in range(len(records)):
-        traced = (tick // 6) % 2 == 1
-        if traced:
-            traced_ticks.add(tick)
-        step(world, config, trace if traced else None)
+        step(world, config, trace if tick in traced_ticks else None)
     flush(world, config, trace)
 
     all_rows = trace_rows(whole.getvalue())
