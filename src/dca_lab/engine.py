@@ -283,9 +283,9 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
     migrating DCs vote immediately and are replaced at the same list
     position, and any antigen reaching k contexts is finalized on the spot.
     A DC migrates iff its cum_csm strictly exceeds its threshold. The DC
-    population size is invariant across the tick. The picks are list positions drawn without
-    touching the other N - k DCs, so a tick costs O(k) plus the
-    migrations it triggers.
+    population size is invariant across the tick. The picks are list
+    positions drawn without touching the other N - k DCs, so a tick costs
+    O(k) plus the migrations it triggers.
     """
     if world.pending:
         record = world.pending.popleft()
