@@ -21,8 +21,9 @@ module-level name and at a fixed grain: ``step`` once per tick,
 ``sample_dcs`` and the two signal functions once per antigen,
 ``dc_handle_picked`` once per pick, ``_migrate`` once per natural
 migration, ``antigen_handle_context`` once per bit and ``TraceLog.emit``
-once per trace row. The three decision rules are
-applied inline, as the strict comparisons ``agents.dc_should_migrate``,
+once per trace row. The one exception is ``dc_at``, called at most once
+per slot, at its first pick. The three decision rules are applied
+inline, as the strict comparisons ``agents.dc_should_migrate``,
 ``dc_decide_context`` and ``classify_antigen`` state them.
 
 Trace rows are built only when a trace is being written, each in
@@ -40,14 +41,26 @@ the row itself.
 fits them, their attributes lie in [0, 1] and their ids are distinct.
 ``init_world``, ``step``, ``flush`` and signal derivation trust them.
 
+The population is lazy: ``world.dcs`` holds ``None`` at a slot until
+the slot's first pick, when ``dc_at`` makes its DC, with the slot's
+position as id and its initial threshold decoded from words kept since
+``init_world``. A DC that is never picked is never made, so a run costs
+the DCs it picks, not N; its traced ``discard`` row names it by its
+position.
+
 Randomness comes from a single ``random.Random`` (Mersenne Twister)
 stream seeded from the config, with a fixed draw order: the N initial
 migration thresholds in DC-index order at world creation, then per tick
 the k subset draws for the spawned antigen (one draw below the shrinking
 pool size each, in ``agents.sample_dcs``) followed by one replacement
-threshold per migration, in migration order. A threshold is ``t_min + (t_max - t_min) * rng.random()``, today's
-``uniform``: both draws use only the generator output that Python keeps
-stable across versions. Identical (config, records) therefore give
+threshold per migration, in migration order. A threshold is ``t_min +
+(t_max - t_min) * rng.random()``, today's ``uniform``: both draws use
+only the generator output that Python keeps stable across versions. The
+N initial thresholds' words come from one ``rng.getrandbits(64 * N)``
+call, which takes the same 2N 32-bit words as N ``random()`` calls, in
+the same order (a CPython detail that the engine tests pin), and leaves
+the generator in the same state; ``dc_at`` decodes a slot's two words
+as ``random()`` does. Identical (config, records) therefore give
 identical runs, including every rng-dependent field.
 """
 
@@ -55,6 +68,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -99,6 +113,9 @@ MAX_SIZE = 10**6
 #: and each ``context`` row's value.
 _VOTE_TAIL = (",semimature;0\r\n", ",mature;1\r\n")
 _CONTEXT_TAIL = (",0\r\n", ",1\r\n")
+#: A slot's two initial-threshold words, first drawn first, as
+#: ``getrandbits`` lays them out in ``int.to_bytes(..., "little")``.
+_WORD_PAIR = struct.Struct("<2I")
 
 
 class EngineFaultError(RuntimeError):
@@ -140,11 +157,16 @@ class SimConfig:
 
 @dataclass(slots=True)
 class World:
-    """Complete simulation state; confined to one thread of control at a time."""
+    """Complete simulation state; confined to one thread of control at a time.
+
+    ``dcs`` has one slot per DC, ``None`` until the slot's first pick
+    (see ``dc_at``). ``threshold_words`` holds 8 bytes per slot: the two
+    generator words of the slot's initial threshold.
+    """
 
     tick: int
     pending: deque[AntigenRecord]
-    dcs: list[DCAgent]
+    dcs: list[DCAgent | None]
     antigens_in_flight: dict[int, AntigenAgent]
     results: list[ClassificationResult]
     rng: random.Random
@@ -153,6 +175,7 @@ class World:
     # held by DCs at the moment they migrated or were flushed.
     contexts_delivered: int = 0
     samples_retired: int = 0
+    threshold_words: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -189,22 +212,41 @@ class TraceLog:
 
 
 def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
-    """Create N immature DCs (thresholds drawn in DC-index order) at tick 0."""
-    t_min, t_max = config.threshold_range
+    """Draw the N initial thresholds' words in one call and leave the N slots empty, at tick 0.
+
+    ``rng.getrandbits(64 * N)`` takes the words of N ``random()`` calls,
+    in DC-index order, and leaves the generator where they would. No DC
+    is made here: ``dc_at`` makes each at its slot's first pick.
+    """
+    n = config.population_size
     rng = random.Random(config.seed)
-    dcs = [
-        DCAgent(dc_id=i, migration_threshold=t_min + (t_max - t_min) * rng.random())
-        for i in range(config.population_size)
-    ]
     return World(
         tick=0,
         pending=deque(sorted(records, key=attrgetter("antigen_id"))),
-        dcs=dcs,
+        dcs=[None] * n,
         antigens_in_flight={},
         results=[],
         rng=rng,
-        next_dc_id=config.population_size,
+        next_dc_id=n,
+        threshold_words=rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
     )
+
+
+def dc_at(world: World, config: SimConfig, position: int) -> DCAgent:
+    """The DC at ``position``, made immature on the slot's first use.
+
+    A made DC has the position as its id and the threshold that the
+    slot's two words give: ``random()``'s ``((a >> 5) * 2**26 + (b >> 6))
+    * 2**-53``, scaled into ``threshold_range``. Draws nothing from
+    ``world.rng``, so making a DC early or late changes no output.
+    """
+    dc = world.dcs[position]
+    if dc is None:
+        a, b = _WORD_PAIR.unpack_from(world.threshold_words, 8 * position)
+        t_min, t_max = config.threshold_range
+        u = ((a >> 5) * 67108864.0 + (b >> 6)) * 2**-53
+        dc = world.dcs[position] = DCAgent(position, t_min + (t_max - t_min) * u)
+    return dc
 
 
 def _vote(
@@ -284,8 +326,9 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
     position, and any antigen reaching k contexts is finalized on the spot.
     A DC migrates iff its cum_csm strictly exceeds its threshold. The DC
     population size is invariant across the tick. The picks are list
-    positions drawn without touching the other N - k DCs, so a tick costs
-    O(k) plus the migrations it triggers.
+    positions drawn without touching the other N - k DCs, and an empty
+    slot's DC is made at its pick, so a tick costs O(k) plus the
+    migrations it triggers.
     """
     if world.pending:
         record = world.pending.popleft()
@@ -309,7 +352,7 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
         )
         dcs = world.dcs
         for position in sample_dcs(len(dcs), k, world.rng):
-            dc = dcs[position]
+            dc = dcs[position] or dc_at(world, config, position)
             dc_handle_picked(dc, antigen_id, out)
             if trace is not None:
                 dc_text = dc.id_text
@@ -322,20 +365,28 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
 
 
 def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> None:
-    """Force every sample-holding DC to vote on its current cumulative values.
+    """Force every sample-holding DC to vote on its current cumulative values, in position order.
 
     Sample-free DCs are discarded silently; afterwards no antigen may
-    remain in flight and population accounting ends.
+    remain in flight and population accounting ends. Empty slots hold no
+    samples: an untraced flush skips them, and a traced one writes each
+    one's ``discard`` row with the position as the id.
     """
     if world.pending:
         raise EngineFaultError("flush called with records still pending")
-    if trace is not None:
-        trace.head = f"{world.tick},"
-    for dc in world.dcs:
-        if dc.sampled:
-            _vote(world, config, dc, "flush_migrate", trace)
-        elif trace is not None:
-            trace.emit(f"{trace.head}discard,{dc.id_text or dc.dc_id},\r\n")
+    if trace is None:
+        for dc in filter(None, world.dcs):
+            if dc.sampled:
+                _vote(world, config, dc, "flush_migrate", None)
+    else:
+        head = trace.head = f"{world.tick},"
+        for position, dc in enumerate(world.dcs):
+            if dc is None:
+                trace.emit(f"{head}discard,{position},\r\n")
+            elif dc.sampled:
+                _vote(world, config, dc, "flush_migrate", trace)
+            else:
+                trace.emit(f"{head}discard,{dc.id_text or dc.dc_id},\r\n")
     world.dcs.clear()
     if world.antigens_in_flight:
         raise EngineFaultError(

@@ -1,4 +1,4 @@
-"""Mutation gate: each of the 50 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 56 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -173,6 +173,22 @@ MUTANTS = [
     # Output files are owner-only whatever the umask.
     Mutant("cli.py", "os.O_EXCL, 0o666)", "os.O_EXCL, 0o600)",
            ("tests/test_cli.py::TestRunCommand::test_output_files_take_the_umasks_mode[umask_022]",)),
+    # The largest population and histogram size raised: 10^6 + 1 DCs would run.
+    Mutant("engine.py", "MAX_SIZE = 10**6", "MAX_SIZE = 10**7",
+           ("tests/test_cli.py::TestRunCommand::test_largest_population_runs_and_one_more_is_rejected[one_more]",)),
+    Mutant("engine.py", "MAX_SIZE = 10**6", "MAX_SIZE = 11**6",
+           ("tests/test_cli.py::TestRunCommand::test_largest_population_runs_and_one_more_is_rejected[one_more]",)),
+    # A lazily made DC's threshold decoded from its two words in the wrong order.
+    Mutant("engine.py", "u = ((a >> 5) * 67108864.0 + (b >> 6))", "u = ((b >> 5) * 67108864.0 + (a >> 6))",
+           ("tests/test_engine.py::TestLazyPopulation::test_thresholds_and_state_are_those_of_n_random_draws[5-100]",)),
+    # The second word keeps 27 bits, not random()'s 26.
+    Mutant("engine.py", "* 67108864.0 + (b >> 6)", "* 67108864.0 + (b >> 5)",
+           ("tests/test_engine.py::TestLazyPopulation::test_thresholds_and_state_are_those_of_n_random_draws[5-100]",)),
+    Mutant("engine.py", "DCAgent(position, ", "DCAgent(position + 1, ",
+           ("tests/test_engine.py::TestLazyPopulation::test_a_slot_is_made_once_in_place_with_its_position_as_id",)),
+    # A never-picked slot's traced discard row names the next slot.
+    Mutant("engine.py", "discard,{position},", "discard,{position + 1},",
+           ("tests/test_engine.py::TestLazyPopulation::test_when_the_dcs_are_made_changes_no_output",)),
 ]
 
 

@@ -80,6 +80,10 @@ class TestSampleDcs:
         with pytest.raises(ValueError, match="^cannot pick 6 distinct DCs from a population of 5$"):
             sample_dcs(5, 6, random.Random(0))
 
+    def test_negative_sample(self):
+        with pytest.raises(ValueError, match="^sample size must be nonnegative, got -1$"):
+            sample_dcs(5, -1, random.Random(0))
+
     def test_deterministic_given_state(self):
         first = sample_dcs(100, 10, random.Random(42))
         second = sample_dcs(100, 10, random.Random(42))

@@ -282,6 +282,44 @@ class TestRunCommand:
         assert main(argv) == {"config": EXIT_CONFIG, "engine": EXIT_ENGINE}[fault]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(("population", "code"), [("1000000", EXIT_OK), ("1000001", EXIT_CONFIG)], ids=["largest", "one_more"])
+    def test_largest_population_runs_and_one_more_is_rejected(self, tmp_path, capsys, population, code):
+        data = write_dataset(tmp_path / "d.data", rows=15)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(f'{{"population_size": {population}}}')
+        argv = ["run", "--data", str(data), "--config", str(config_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        lines = capsys.readouterr().err.splitlines()
+        if code == EXIT_OK:
+            assert lines == []
+            assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 16
+        else:
+            assert len(lines) == 1 and "population_size" in lines[0]
+
+    @pytest.mark.parametrize(("blocked", "message"), [
+        ("out_dir", "dca-lab: cannot create output directory"),
+        ("trace.csv", "dca-lab: I/O failure: "),
+        ("results.csv", "dca-lab: I/O failure writing outputs to"),
+    ])
+    def test_unwritable_output_exits_6_with_one_line_and_no_temp_file(self, tmp_path, capsys, blocked, message):
+        data = write_dataset(tmp_path / "d.data", rows=4)
+        out = tmp_path / "out"
+        if blocked == "out_dir":  # a file where the output directory goes
+            out.write_text("")
+        else:  # a directory where the output file goes
+            (out / blocked).mkdir(parents=True)
+        assert main(["run", "--data", str(data), "--out", str(out), "--trace"]) == EXIT_IO
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
+        if blocked != "out_dir":
+            assert [p.name for p in out.iterdir() if p.suffix == ".tmp"] == []
+
+    def test_unreadable_config_exits_4_with_one_line(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.data", rows=4)
+        assert main(["run", "--data", str(data), "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"dca-lab: invalid config: cannot read config file {tmp_path}")
+
     @pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"])
     def test_output_files_take_the_umasks_mode(self, tmp_path, umask, mode):
         data = write_dataset(tmp_path / "d.data", rows=4)

@@ -7,7 +7,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_records, oracle_kwargs, random_sim_setup, write_wbc_like_file
 from oracle import run_reference_dca
@@ -20,6 +20,7 @@ from dca_lab.engine import (
     SimConfig,
     TraceLog,
     World,
+    dc_at,
     flush,
     init_world,
     run,
@@ -37,6 +38,11 @@ def small_config(**overrides) -> SimConfig:
     )
     defaults.update(overrides)
     return SimConfig(**defaults)
+
+
+def every_dc(world, config):
+    """Each slot's DC, made through ``dc_at`` where the slot is still empty."""
+    return [dc_at(world, config, position) for position in range(len(world.dcs))]
 
 
 def run_world(config, records):
@@ -106,7 +112,7 @@ class TestInitWorld:
         world = init_world(config, make_records(rng, 3, 9))
         assert len(world.dcs) == 100
         t_min, t_max = config.threshold_range
-        assert all(t_min <= dc.migration_threshold <= t_max for dc in world.dcs)
+        assert all(t_min <= dc.migration_threshold <= t_max for dc in every_dc(world, config))
         assert world.tick == 0
         assert world.next_dc_id == 100
 
@@ -114,8 +120,8 @@ class TestInitWorld:
         rng = random.Random(0)
         records = make_records(rng, 3, 9)
         config = SimConfig(seed=99)
-        first = [dc.migration_threshold for dc in init_world(config, records).dcs]
-        second = [dc.migration_threshold for dc in init_world(config, records).dcs]
+        first = [dc.migration_threshold for dc in every_dc(init_world(config, records), config)]
+        second = [dc.migration_threshold for dc in every_dc(init_world(config, records), config)]
         assert first == second
 
     def test_invalid_config_rejected(self):
@@ -130,17 +136,72 @@ class TestInitWorld:
         assert [r.antigen_id for r in world.pending] == [0, 1, 2, 3, 4]
 
 
+class TestLazyPopulation:
+    """``world.dcs`` holds None at a slot until ``dc_at`` makes its DC, at its first pick."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10007])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**64 - 1])
+    def test_thresholds_and_state_are_those_of_n_random_draws(self, seed, n):
+        # One getrandbits(64 * n) call takes the words of n random() calls
+        # in the same order: a CPython detail, pinned here on every version.
+        config = SimConfig(population_size=n, dcs_per_antigen=1, seed=seed)
+        world = init_world(config, make_records(random.Random(0), 3, 9))
+        replay = random.Random(seed)
+        t_min, t_max = config.threshold_range
+        expected = [t_min + (t_max - t_min) * replay.random() for _ in range(n)]
+        assert [dc.migration_threshold for dc in every_dc(world, config)] == expected
+        assert world.rng.getstate() == replay.getstate()
+
+    def test_a_slot_is_made_once_in_place_with_its_position_as_id(self):
+        config = small_config(population_size=6)
+        world = init_world(config, make_records(random.Random(0), 2, 2))
+        assert world.dcs == [None] * 6
+        state = world.rng.getstate()
+        dc = dc_at(world, config, 4)
+        assert (dc.dc_id, dc.sampled, dc.id_text) == (4, [], None)
+        assert world.dcs[4] is dc and dc_at(world, config, 4) is dc
+        assert world.dcs[:4] + world.dcs[5:] == [None] * 5
+        assert world.rng.getstate() == state
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           st.integers(1, 20), st.integers(0, 2**64 - 1))
+    @example(population_and_k=(1, 1), n_records=6, seed=0)
+    @example(population_and_k=(5, 5), n_records=9, seed=2)
+    @example(population_and_k=(8, 1), n_records=3, seed=1)
+    def test_when_the_dcs_are_made_changes_no_output(self, population_and_k, n_records, seed):
+        population, k = population_and_k
+        config = small_config(population_size=population, dcs_per_antigen=k, seed=seed)
+        records = make_records(random.Random(seed), n_records, 2)
+
+        def traced_run(make_every_dc_at_tick):
+            stream = io.StringIO(newline="")
+            trace = TraceLog(stream)
+            world = init_world(config, records)
+            for tick in range(n_records):
+                if tick == make_every_dc_at_tick:
+                    every_dc(world, config)
+                step(world, config, trace)
+            flush(world, config, trace)
+            return world.results, stream.getvalue(), world.rng.getstate()
+
+        lazy = traced_run(None)
+        assert traced_run(0) == lazy  # every DC made before the first tick
+        assert traced_run(n_records // 2) == lazy  # midway
+        assert run(config, records).results == lazy[0]  # untraced, lazy
+
+
 class TestStep:
     def test_quiescent_tick_only_increments(self):
         rng = random.Random(1)
         config = small_config()
         world = init_world(config, make_records(rng, 1, 2))
         step(world, config)
-        snapshot = ([dc.dc_id for dc in world.dcs], len(world.results), world.contexts_delivered)
+        snapshot = ([dc.dc_id for dc in every_dc(world, config)], len(world.results), world.contexts_delivered)
         tick_before = world.tick
         step(world, config)
         assert world.tick == tick_before + 1
-        assert ([dc.dc_id for dc in world.dcs], len(world.results), world.contexts_delivered) == snapshot
+        assert ([dc.dc_id for dc in every_dc(world, config)], len(world.results), world.contexts_delivered) == snapshot
 
     def test_population_constant_after_every_step(self):
         rng = random.Random(2)
@@ -177,10 +238,10 @@ class TestStep:
             AntigenRecord(0, 0, (1.0,), Category.ANOMALOUS),
         ]
         world = init_world(config, records)
-        objects = list(world.dcs)
-        ids_before = [dc.dc_id for dc in world.dcs]
+        objects = every_dc(world, config)
+        ids_before = [dc.dc_id for dc in objects]
         step(world, config)
-        ids_after = [dc.dc_id for dc in world.dcs]
+        ids_after = [dc.dc_id for dc in every_dc(world, config)]
         assert len(ids_after) == 4
         replaced = [new for new, old in zip(ids_after, ids_before) if new != old]
         assert len(replaced) == 2
@@ -308,6 +369,12 @@ class TestFlush:
         flush(world, SimConfig(population_size=1, dcs_per_antigen=1))
         assert world.dcs == []
         assert world.contexts_delivered == 0
+
+    def test_antigen_no_dc_holds_is_left_in_flight_and_engine_fault(self):
+        world = flush_world([[3]], [3, 9])
+        with pytest.raises(EngineFaultError, match="^1 antigens still lack contexts after flush$"):
+            flush(world, SimConfig(population_size=1, dcs_per_antigen=1))
+        assert [r.antigen_id for r in world.results] == [3]
 
     def test_bit_for_an_antigen_not_in_flight_is_engine_fault(self):
         world = flush_world([[3, 8]], [3])
