@@ -55,9 +55,8 @@ class DCAgent:
     engine reuses a migrated DC's slot for its replacement, with a fresh
     id, threshold, zeroed sums and an emptied ``sampled`` list.
 
-    ``id_text`` is ``str(dc_id)`` for trace rows, made at the DC's first
-    traced pick or its traced replacement, or None until then. The
-    engine resets it whenever it changes ``dc_id``, traced or not.
+    ``id_text`` is ``str(dc_id)`` for trace rows in a traced run, made
+    when the DC gets its id, and None in an untraced run.
     """
 
     dc_id: int
@@ -83,8 +82,8 @@ class AntigenAgent:
 
     ``received`` counts the bits that have arrived and ``ones`` those equal
     to 1. The engine keys each one by its antigen id. ``id_text`` is
-    ``str`` of that id when the antigen was spawned in a traced tick, for
-    its trace rows, and None otherwise.
+    ``str`` of that id for trace rows in a traced run, made at the
+    antigen's spawn, and None in an untraced run.
     """
 
     true_label: Category

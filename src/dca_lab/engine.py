@@ -26,16 +26,16 @@ per slot, at its first pick. The three decision rules are applied
 inline, as the strict comparisons ``agents.dc_should_migrate``,
 ``dc_decide_context`` and ``classify_antigen`` state them.
 
-Trace rows are built only when a trace is being written, each in
+A run is traced or not as a whole: ``init_world`` keeps the run's
+``TraceLog``, or None, in ``world.trace``, and every tick and the flush
+read it there. Trace rows are built only in a traced world, each in
 ``trace.csv``'s exact format and handed whole to ``TraceLog.emit``,
 which writes it straight to the stream. A row is joined from text made
-once: an antigen's id at its spawn, kept on its ``AntigenAgent``; a DC's
-id at its first traced pick or traced replacement, kept on its
-``DCAgent`` until the id changes; the ``"<tick>,"`` head per tick; a
-vote's ``context`` row head and tail per vote; and each distinct MCAV's
-``repr`` per ``TraceLog``. An id without its text (an antigen spawned
-in an untraced tick, a DC not yet named in a traced row) is formatted in
-the row itself.
+once: each agent's id text, made when the agent gets its id (an antigen
+at its spawn, a DC when ``dc_at`` makes it or ``_migrate`` renews it)
+and kept on the agent; the ``"<tick>,"`` head per tick; a vote's
+``context`` row head and tail per vote; and each distinct MCAV's
+``repr`` per ``TraceLog``. In an untraced world no agent holds id text.
 
 ``run`` checks its records once, before the first tick: the mapping
 fits them, their attributes lie in [0, 1] and their ids are distinct.
@@ -56,12 +56,12 @@ pool size each, in ``agents.sample_dcs``) followed by one replacement
 threshold per migration, in migration order. A threshold is ``t_min +
 (t_max - t_min) * rng.random()``, today's ``uniform``: both draws use
 only the generator output that Python keeps stable across versions. The
-N initial thresholds' words come from one ``rng.getrandbits(64 * N)``
-call, which takes the same 2N 32-bit words as N ``random()`` calls, in
-the same order (a CPython detail that the engine tests pin), and leaves
-the generator in the same state; ``dc_at`` decodes a slot's two words
-as ``random()`` does. Identical (config, records) therefore give
-identical runs, including every rng-dependent field.
+N initial thresholds' words come from ``getrandbits`` calls over fixed
+chunks of slots, which take the same 2N 32-bit words as N ``random()``
+calls, in the same order (a CPython detail that the engine tests pin),
+and leave the generator in the same state; ``dc_at`` decodes a slot's
+two words as ``random()`` does. Identical (config, records) therefore
+give identical runs, including every rng-dependent field.
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ _CONTEXT_TAIL = (",0\r\n", ",1\r\n")
 #: A slot's two initial-threshold words, first drawn first, as
 #: ``getrandbits`` lays them out in ``int.to_bytes(..., "little")``.
 _WORD_PAIR = struct.Struct("<2I")
+#: Slots whose words ``init_world`` draws per ``getrandbits`` call: a
+#: 32 KiB int and its bytes at a time, not 8N bytes twice.
+_DRAW_CHUNK = 4096
 
 
 class EngineFaultError(RuntimeError):
@@ -161,7 +164,8 @@ class World:
 
     ``dcs`` has one slot per DC, ``None`` until the slot's first pick
     (see ``dc_at``). ``threshold_words`` holds 8 bytes per slot: the two
-    generator words of the slot's initial threshold.
+    generator words of the slot's initial threshold. In a traced world
+    every DC and antigen holds its id's text; in an untraced one none does.
     """
 
     tick: int
@@ -175,7 +179,9 @@ class World:
     # held by DCs at the moment they migrated or were flushed.
     contexts_delivered: int = 0
     samples_retired: int = 0
-    threshold_words: bytes = b""
+    threshold_words: bytearray = field(default_factory=bytearray)
+    #: The run's trace, or None for an untraced run; set once, at ``init_world``.
+    trace: TraceLog | None = None
 
 
 @dataclass(frozen=True)
@@ -211,15 +217,23 @@ class TraceLog:
         self._stream.write(row)
 
 
-def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
-    """Draw the N initial thresholds' words in one call and leave the N slots empty, at tick 0.
+def init_world(
+    config: SimConfig, records: Sequence[AntigenRecord], trace: TraceLog | None = None
+) -> World:
+    """Draw the N initial thresholds' words and leave the N slots empty, at tick 0.
 
-    ``rng.getrandbits(64 * N)`` takes the words of N ``random()`` calls,
-    in DC-index order, and leaves the generator where they would. No DC
-    is made here: ``dc_at`` makes each at its slot's first pick.
+    The words come from ``getrandbits`` calls of ``_DRAW_CHUNK`` slots
+    each, written in order into one preallocated buffer: together they
+    take the words of N ``random()`` calls, in DC-index order, and leave
+    the generator where those would. No DC is made here: ``dc_at`` makes
+    each at its slot's first pick. ``trace`` is the run's trace, or None.
     """
     n = config.population_size
     rng = random.Random(config.seed)
+    words = bytearray(8 * n)
+    for start in range(0, n, _DRAW_CHUNK):
+        size = 8 * min(_DRAW_CHUNK, n - start)
+        words[8 * start : 8 * start + size] = rng.getrandbits(8 * size).to_bytes(size, "little")
     return World(
         tick=0,
         pending=deque(sorted(records, key=attrgetter("antigen_id"))),
@@ -228,17 +242,19 @@ def init_world(config: SimConfig, records: Sequence[AntigenRecord]) -> World:
         results=[],
         rng=rng,
         next_dc_id=n,
-        threshold_words=rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
+        threshold_words=words,
+        trace=trace,
     )
 
 
 def dc_at(world: World, config: SimConfig, position: int) -> DCAgent:
     """The DC at ``position``, made immature on the slot's first use.
 
-    A made DC has the position as its id and the threshold that the
-    slot's two words give: ``random()``'s ``((a >> 5) * 2**26 + (b >> 6))
-    * 2**-53``, scaled into ``threshold_range``. Draws nothing from
-    ``world.rng``, so making a DC early or late changes no output.
+    A made DC has the position as its id, that id's text in a traced
+    world, and the threshold that the slot's two words give: ``random()``'s
+    ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``, scaled into
+    ``threshold_range``. Draws nothing from ``world.rng``, so making a DC
+    early or late changes no output.
     """
     dc = world.dcs[position]
     if dc is None:
@@ -246,12 +262,12 @@ def dc_at(world: World, config: SimConfig, position: int) -> DCAgent:
         t_min, t_max = config.threshold_range
         u = ((a >> 5) * 67108864.0 + (b >> 6)) * 2**-53
         dc = world.dcs[position] = DCAgent(position, t_min + (t_max - t_min) * u)
+        if world.trace is not None:
+            dc.id_text = str(position)
     return dc
 
 
-def _vote(
-    world: World, config: SimConfig, dc: DCAgent, event: str, trace: TraceLog | None
-) -> None:
+def _vote(world: World, config: SimConfig, dc: DCAgent, event: str) -> None:
     """Decide the DC's context, trace it as ``event``, and send its bit to every sampled antigen.
 
     ``event`` is ``migrate`` or ``flush_migrate``. The bit is 0
@@ -261,63 +277,59 @@ def _vote(
     ``anomalous_threshold``, and leaves ``antigens_in_flight`` on the spot.
     """
     bit = 0 if dc.cum_semi > dc.cum_mat else 1
+    trace = world.trace
     if trace is not None:
         emit, head = trace.emit, trace.head
-        dc_text = dc.id_text or str(dc.dc_id)
-        emit(f"{head}{event},{dc_text}{_VOTE_TAIL[bit]}")
-        context_head = f"{head}context,{dc_text};"
+        emit(f"{head}{event},{dc.id_text}{_VOTE_TAIL[bit]}")
+        context_head = f"{head}context,{dc.id_text};"
         context_tail = _CONTEXT_TAIL[bit]
     in_flight = world.antigens_in_flight
-    for antigen_id in dc.sampled:
-        ag = in_flight.get(antigen_id)
+    for aid in dc.sampled:
+        ag = in_flight.get(aid)
         if ag is None:  # never owed a bit, or already got its last one
             raise EngineFaultError(
-                f"tick {world.tick}: DC {dc.dc_id} voted for antigen {antigen_id} "
+                f"tick {world.tick}: DC {dc.dc_id} voted for antigen {aid} "
                 "which is not in flight"
             )
         mcav = antigen_handle_context(ag, bit)
         world.contexts_delivered += 1
         if trace is not None:
-            # An antigen spawned in an untraced tick has no text: its id is formatted here.
-            emit(f"{context_head}{ag.id_text or antigen_id}{context_tail}")
+            emit(f"{context_head}{ag.id_text}{context_tail}")
         if mcav is not None:  # that was its last bit
             predicted = Category.ANOMALOUS if mcav > config.anomalous_threshold else Category.NORMAL
             # tuple.__new__ builds the result in C, as ingest builds each AntigenRecord.
-            world.results.append(tuple.__new__(ClassificationResult, (antigen_id, mcav, predicted, ag.true_label)))
-            del in_flight[antigen_id]
+            world.results.append(tuple.__new__(ClassificationResult, (aid, mcav, predicted, ag.true_label)))
+            del in_flight[aid]
             if trace is not None:
                 mcav_text = trace.mcav_texts.get(mcav)
                 if mcav_text is None:
                     mcav_text = trace.mcav_texts[mcav] = repr(mcav)
-                emit(f"{head}finalize,{ag.id_text or antigen_id},{mcav_text};{CATEGORY_TEXT[predicted]}\r\n")
+                emit(f"{head}finalize,{ag.id_text},{mcav_text};{CATEGORY_TEXT[predicted]}\r\n")
     world.samples_retired += len(dc.sampled)
 
 
-def _migrate(world: World, config: SimConfig, dc: DCAgent, trace: TraceLog | None) -> None:
+def _migrate(world: World, config: SimConfig, dc: DCAgent) -> None:
     """Decide and vote, then reset the DC in place as its replacement.
 
     The replacement gets the next DC id, a fresh threshold, zeroed sums
-    and an emptied ``sampled`` list. The threshold is drawn after the
-    votes, keeping the rng draw order spawn-picks-then-replacements within
-    each tick. The DC's id text is remade for the new id when traced and
-    dropped when not, so it never names the old id.
+    and an emptied ``sampled`` list, and in a traced world the new id's
+    text. The threshold is drawn after the votes, keeping the rng draw
+    order spawn-picks-then-replacements within each tick.
     """
-    _vote(world, config, dc, "migrate", trace)
+    _vote(world, config, dc, "migrate")
     t_min, t_max = config.threshold_range
     dc.dc_id = world.next_dc_id
     world.next_dc_id += 1
     dc.migration_threshold = t_min + (t_max - t_min) * world.rng.random()
     dc.cum_csm = dc.cum_semi = dc.cum_mat = 0.0
     dc.sampled.clear()
-    if trace is None:
-        dc.id_text = None
-    else:
-        # A traced migration follows the DC's traced pick, which made its old text.
+    trace = world.trace
+    if trace is not None:
         old_text, dc.id_text = dc.id_text, str(dc.dc_id)
         trace.emit(f"{trace.head}replace,{old_text};{dc.id_text},{dc.migration_threshold!r}\r\n")
 
 
-def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None:
+def step(world: World, config: SimConfig) -> None:
     """Execute one logical tick.
 
     Order within the tick: spawn the head record (if any), deliver its k
@@ -328,12 +340,13 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
     population size is invariant across the tick. The picks are list
     positions drawn without touching the other N - k DCs, and an empty
     slot's DC is made at its pick, so a tick costs O(k) plus the
-    migrations it triggers.
+    migrations it triggers. Rows go to ``world.trace`` when it is set.
     """
     if world.pending:
         record = world.pending.popleft()
         antigen_id = record.antigen_id
         k = config.dcs_per_antigen
+        trace = world.trace
         if trace is None:
             world.antigens_in_flight[antigen_id] = AntigenAgent(record.true_label, k)
         else:
@@ -355,16 +368,13 @@ def step(world: World, config: SimConfig, trace: TraceLog | None = None) -> None
             dc = dcs[position] or dc_at(world, config, position)
             dc_handle_picked(dc, antigen_id, out)
             if trace is not None:
-                dc_text = dc.id_text
-                if dc_text is None:
-                    dc_text = dc.id_text = str(dc.dc_id)
-                emit(f"{pick_head}{dc_text},\r\n")
+                emit(f"{pick_head}{dc.id_text},\r\n")
             if dc.cum_csm > dc.migration_threshold:
-                _migrate(world, config, dc, trace)
+                _migrate(world, config, dc)
     world.tick += 1
 
 
-def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> None:
+def flush(world: World, config: SimConfig) -> None:
     """Force every sample-holding DC to vote on its current cumulative values, in position order.
 
     Sample-free DCs are discarded silently; afterwards no antigen may
@@ -374,19 +384,20 @@ def flush(world: World, config: SimConfig, trace: TraceLog | None = None) -> Non
     """
     if world.pending:
         raise EngineFaultError("flush called with records still pending")
+    trace = world.trace
     if trace is None:
         for dc in filter(None, world.dcs):
             if dc.sampled:
-                _vote(world, config, dc, "flush_migrate", None)
+                _vote(world, config, dc, "flush_migrate")
     else:
         head = trace.head = f"{world.tick},"
         for position, dc in enumerate(world.dcs):
             if dc is None:
                 trace.emit(f"{head}discard,{position},\r\n")
             elif dc.sampled:
-                _vote(world, config, dc, "flush_migrate", trace)
+                _vote(world, config, dc, "flush_migrate")
             else:
-                trace.emit(f"{head}discard,{dc.id_text or dc.dc_id},\r\n")
+                trace.emit(f"{head}discard,{dc.id_text},\r\n")
     world.dcs.clear()
     if world.antigens_in_flight:
         raise EngineFaultError(
@@ -430,10 +441,10 @@ def run(
     identical reports, including every rng-dependent field.
     """
     _check_records(config, records)
-    world = init_world(config, records)
+    world = init_world(config, records, trace)
     while world.pending:
-        step(world, config, trace)
-    flush(world, config, trace)
+        step(world, config)
+    flush(world, config)
 
     confusion, metrics = compute_metrics(world.results)
     histogram = build_histogram(map(attrgetter("mcav"), world.results), config.histogram_bins)

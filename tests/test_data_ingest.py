@@ -181,6 +181,20 @@ class TestLoadDataset:
         imputed = records[4].attributes[0]
         assert imputed == normalize_attribute(2, 1, 10)
 
+    def test_impute_median_middle_of_three(self):
+        # Column 1 non-missing values are [1, 2, 3]: median_low is 2.
+        policy = AttributePolicy(missing_value_policy=MissingValuePolicy.IMPUTE_MEDIAN)
+        records, _ = load_dataset(
+            _stream(
+                "1,1,1,1,1,1,1,1,1,1,2",
+                "2,2,1,1,1,1,1,1,1,1,2",
+                "3,3,1,1,1,1,1,1,1,1,2",
+                "4,?,1,1,1,1,1,1,1,1,4",
+            ),
+            policy,
+        )
+        assert records[3].attributes[0] == normalize_attribute(2, 1, 10)
+
     def test_lowest_column_with_nothing_to_impute_from_is_named(self):
         # Columns 6 and 9 hold only '?': the set {0, 5, 8} of their indices iterates 8 before 5.
         rows = "1,?,1,1,1,1,?,1,1,?,2", "2,1,1,1,1,1,?,1,1,?,4", "3,2,1,1,1,1,?,1,1,?,2"
@@ -238,6 +252,10 @@ class TestLoadDataset:
         first, _ = load_dataset(io.BytesIO(payload))
         second, _ = load_dataset(io.BytesIO(payload))
         assert first == second
+
+    def test_span_of_one_is_accepted(self):
+        policy = AttributePolicy(lo=1.0, hi=2.0)
+        assert (policy.lo, policy.hi) == (1.0, 2.0)
 
     def test_bounds_override(self):
         policy = AttributePolicy(lo=0.0, hi=20.0)

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -15,6 +16,7 @@ from oracle import run_reference_dca
 from dca_lab.agents import AntigenAgent, Category, DCAgent
 from dca_lab.data_ingest import AntigenRecord, DatasetError, load_dataset
 from dca_lab.engine import (
+    _DRAW_CHUNK,
     EngineFaultError,
     InvalidConfigError,
     SimConfig,
@@ -73,6 +75,14 @@ class TestSimConfig:
             SimConfig(threshold_range=(10.0, 5.0))
         with pytest.raises(InvalidConfigError):
             SimConfig(threshold_range=(100.0, math.inf))
+
+    def test_smallest_positive_threshold_is_accepted(self):
+        assert SimConfig(threshold_range=(5e-324, 5e-324)).threshold_range == (5e-324, 5e-324)
+
+    def test_one_histogram_bin_runs(self):
+        records = make_records(random.Random(0), 4, 2)
+        histogram = run(small_config(histogram_bins=1), records).histogram
+        assert (histogram.edges, histogram.counts) == ((0.0, 1.0), (4,))
 
     def test_anomalous_threshold_bounds(self):
         with pytest.raises(InvalidConfigError):
@@ -139,11 +149,13 @@ class TestInitWorld:
 class TestLazyPopulation:
     """``world.dcs`` holds None at a slot until ``dc_at`` makes its DC, at its first pick."""
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10007])
+    # 10007 slots cross two chunk boundaries; 2 * _DRAW_CHUNK ends on one.
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10007, 2 * _DRAW_CHUNK])
     @pytest.mark.parametrize("seed", [0, 1, 5, 2**64 - 1])
     def test_thresholds_and_state_are_those_of_n_random_draws(self, seed, n):
-        # One getrandbits(64 * n) call takes the words of n random() calls
-        # in the same order: a CPython detail, pinned here on every version.
+        # getrandbits calls over consecutive chunks take the words of n
+        # random() calls in the same order: a CPython detail, pinned here
+        # on every version.
         config = SimConfig(population_size=n, dcs_per_antigen=1, seed=seed)
         world = init_world(config, make_records(random.Random(0), 3, 9))
         replay = random.Random(seed)
@@ -163,6 +175,25 @@ class TestLazyPopulation:
         assert world.dcs[:4] + world.dcs[5:] == [None] * 5
         assert world.rng.getstate() == state
 
+    def test_a_dc_made_in_a_traced_world_holds_its_id_text(self):
+        config = small_config(population_size=6)
+        world = init_world(config, make_records(random.Random(0), 2, 2), TraceLog(io.StringIO()))
+        assert dc_at(world, config, 4).id_text == "4"
+
+    def test_init_world_peak_memory_is_close_to_what_it_keeps(self):
+        # The words are drawn chunk by chunk into one buffer: no 8N-byte
+        # int and bytes copy of it alive at once beside the kept words.
+        config = SimConfig(population_size=10**6, dcs_per_antigen=1)
+        records = make_records(random.Random(0), 3, 9)
+        tracemalloc.start()
+        try:
+            world = init_world(config, records)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(world.threshold_words) == 8 * 10**6
+        assert peak < 1.25 * kept
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
            st.integers(1, 20), st.integers(0, 2**64 - 1))
@@ -176,13 +207,12 @@ class TestLazyPopulation:
 
         def traced_run(make_every_dc_at_tick):
             stream = io.StringIO(newline="")
-            trace = TraceLog(stream)
-            world = init_world(config, records)
+            world = init_world(config, records, TraceLog(stream))
             for tick in range(n_records):
                 if tick == make_every_dc_at_tick:
                     every_dc(world, config)
-                step(world, config, trace)
-            flush(world, config, trace)
+                step(world, config)
+            flush(world, config)
             return world.results, stream.getvalue(), world.rng.getstate()
 
         lazy = traced_run(None)
@@ -216,9 +246,8 @@ class TestStep:
         config = small_config(dcs_per_antigen=3)
         records = make_records(rng, 2, 2)
         buffer = io.StringIO()
-        trace = TraceLog(buffer)
-        world = init_world(config, records)
-        step(world, config, trace)
+        world = init_world(config, records, TraceLog(buffer))
+        step(world, config)
         rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
         spawns = [r for r in rows if r["event_kind"] == "spawn"]
         picks = [r for r in rows if r["event_kind"] == "pick"]
@@ -251,6 +280,20 @@ class TestStep:
         for dc in world.dcs:
             if dc.dc_id >= 4:
                 assert (dc.cum, dc.sampled) == (CumulativeSignals(), [])
+
+    def test_a_dc_replaced_in_a_traced_world_holds_its_new_id_text(self):
+        # As above: both picked DCs migrate at their pick.
+        config = small_config(
+            population_size=4,
+            dcs_per_antigen=2,
+            threshold_range=(100.0, 299.0),
+            signal_mapping=SignalMapping((0,), (0,), (0,)),
+        )
+        world = init_world(config, [AntigenRecord(0, 0, (1.0,), Category.ANOMALOUS)], TraceLog(io.StringIO()))
+        step(world, config)
+        made = list(filter(None, world.dcs))
+        assert sorted(dc.dc_id for dc in made) == [4, 5]
+        assert [dc.id_text for dc in made] == [str(dc.dc_id) for dc in made]
 
 
     def test_tick_draws_every_pick_before_any_threshold(self):
@@ -321,16 +364,22 @@ class TestInlineRules:
         assert [r.predicted for r in report.results] == [predicted] * 2
 
 
-def flush_world(sampled_lists, in_flight_ids):
-    """A hand-built world at tick 5: one DC per sampled list, k=1 antigens in flight."""
+def flush_world(sampled_lists, in_flight_ids, trace=None):
+    """A hand-built world at tick 5: one DC per sampled list, k=1 antigens in flight.
+
+    With a trace, every agent holds its id's text, as in a traced run.
+    """
+    def text(agent_id):
+        return None if trace is None else str(agent_id)
+
     dcs = []
     for dc_id, sampled in enumerate(sampled_lists):
-        dc = DCAgent(dc_id=dc_id, migration_threshold=1000.0)
+        dc = DCAgent(dc_id=dc_id, migration_threshold=1000.0, id_text=text(dc_id))
         dc.cum = CumulativeSignals(cum_csm=50.0, cum_semi=10.0, cum_mat=5.0)
         dc.sampled = list(sampled)
         dcs.append(dc)
     antigens = {
-        aid: AntigenAgent(true_label=Category.NORMAL, expected_contexts=1)
+        aid: AntigenAgent(true_label=Category.NORMAL, expected_contexts=1, id_text=text(aid))
         for aid in in_flight_ids
     }
     return World(
@@ -341,15 +390,16 @@ def flush_world(sampled_lists, in_flight_ids):
         results=[],
         rng=random.Random(0),
         next_dc_id=len(dcs),
+        trace=trace,
     )
 
 
 class TestFlush:
     def test_semimature_flush_returns_zero_contexts(self):
-        world = flush_world([[3, 7]], [3, 7])
-        config = SimConfig(population_size=1, dcs_per_antigen=1)
         buffer = io.StringIO()
-        flush(world, config, TraceLog(buffer))
+        world = flush_world([[3, 7]], [3, 7], TraceLog(buffer))
+        config = SimConfig(population_size=1, dcs_per_antigen=1)
+        flush(world, config)
         rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
         assert [r["values"] for r in rows if r["event_kind"] == "flush_migrate"] == ["semimature;0"]
         assert {r.antigen_id: r.mcav for r in world.results} == {3: 0.0, 7: 0.0}
@@ -530,6 +580,7 @@ class TestRecordsCheck:
     @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, math.inf, -math.inf])
     def test_attribute_outside_unit_interval_rejected(self, bad):
         records = make_records(random.Random(3), 5, 2)
+        records[1] = records[1]._replace(attributes=(0.0, 1.0))  # both ends: in range, not named
         records[3] = records[3]._replace(attributes=(0.5, bad))
         with pytest.raises(DatasetError, match=r"antigen 3 has an attribute outside \[0, 1\]"):
             run(small_config(), records)
@@ -540,6 +591,11 @@ class TestRecordsCheck:
             AntigenRecord(1, 1, (1.0, 0.0), Category.ANOMALOUS),
         ]
         assert len(run(small_config(), records).results) == 2
+
+    def test_repeated_id_that_is_not_the_first_is_named(self):
+        records = [AntigenRecord(aid, i, (0.5,) * 9, Category.NORMAL) for i, aid in enumerate([0, 1, 1])]
+        with pytest.raises(DatasetError, match="^antigen id 1 is repeated$"):
+            run(SimConfig(), records)
 
     # Unchecked, (100, 300) ends in a vote for an id already finalized, and
     # (1, 1) gives two results with id 0.
