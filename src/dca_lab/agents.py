@@ -73,7 +73,7 @@ class DCAgent:
 
     @cum.setter
     def cum(self, value: CumulativeSignals) -> None:
-        self.cum_csm, self.cum_semi, self.cum_mat = value.cum_csm, value.cum_semi, value.cum_mat
+        self.cum_csm, self.cum_semi, self.cum_mat = value
 
 
 @dataclass(slots=True)

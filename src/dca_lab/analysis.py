@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -28,16 +27,14 @@ class ClassificationResult(NamedTuple):
     actual: Category
 
 
-@dataclass(frozen=True)
-class MCAVHistogram:
+class MCAVHistogram(NamedTuple):
     """Equal-width histogram over [0, 1]; the top bin is right-closed."""
 
     edges: tuple[float, ...]
     counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     tn: int
     fp: int
@@ -48,8 +45,7 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     accuracy: float
     true_positive_rate: float | None
     false_positive_rate: float | None

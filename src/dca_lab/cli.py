@@ -160,24 +160,18 @@ def histogram_csv_text(histogram: MCAVHistogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_json_text(report: RunReport, summary: DatasetSummary) -> str:
+def report_json_text(report: RunReport, summary: DatasetSummary, config: SimConfig) -> str:
+    """The text of ``report.json``: the run's config, the dataset summary and what ``run`` computed."""
     document = {
-        "seed": report.config_echo.seed,
-        "config": config_to_dict(report.config_echo),
+        "seed": config.seed,
+        "config": config_to_dict(config),
         "dataset_summary": {
-            "rows_read": summary.rows_read,
-            "rows_skipped": summary.rows_skipped,
-            "records_produced": summary.records_produced,
-            "label_counts": {
-                category.value: count for category, count in summary.label_counts.items()
-            },
+            **summary._asdict(),
+            "label_counts": {category.value: count for category, count in summary.label_counts.items()},
         },
-        "confusion": dataclasses.asdict(report.confusion),
-        "metrics": dataclasses.asdict(report.metrics),
-        "histogram": {
-            "edges": list(report.histogram.edges),
-            "counts": list(report.histogram.counts),
-        },
+        "confusion": report.confusion._asdict(),
+        "metrics": report.metrics._asdict(),
+        "histogram": report.histogram._asdict(),  # json writes its tuples as lists
     }
     return json.dumps(document, indent=2) + "\n"
 
@@ -256,7 +250,7 @@ def run_command(args: argparse.Namespace) -> int:
 
     try:
         _atomic_write_text(out_dir / "results.csv", results_csv_text(report.results))
-        _atomic_write_text(out_dir / "report.json", report_json_text(report, summary))
+        _atomic_write_text(out_dir / "report.json", report_json_text(report, summary, config))
         _atomic_write_text(out_dir / "histogram.csv", histogram_csv_text(report.histogram))
     except OSError as exc:
         print(f"dca-lab: I/O failure writing outputs to {out_dir}: {exc}", file=sys.stderr)

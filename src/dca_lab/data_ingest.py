@@ -78,8 +78,7 @@ class AttributePolicy:
             raise InvalidConfigError(f"lo must be below hi, with hi - lo finite, got [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     rows_read: int
     rows_skipped: int
     records_produced: int
@@ -184,14 +183,14 @@ def _read_columns(lines: list[str], policy: AttributePolicy) -> tuple[list[Antig
     extended slices, leaving the attribute tokens row after row. Each
     distinct token is parsed and normalized once, and a missing attribute
     takes its column's median or drops its row. No step loops over the rows
-    in Python. Faults come in this order: the first parse error in file
-    order (found by ``_raise_parse_error`` once a bulk check fails), then
-    the lowest column with nothing to impute from, then the first
-    out-of-range value among the kept rows, leftmost in its row.
+    in Python. Faults come in this order: a file without a row, the first
+    parse error in file order (found by ``_raise_parse_error`` once a bulk
+    check fails), then the lowest column with nothing to impute from, then
+    the first out-of-range value among the kept rows, leftmost in its row.
     """
     rows = list(filter(None, map(str.removesuffix, lines, repeat("\r"))))
     if not rows:
-        return [], 0
+        raise DatasetError("no records produced")
     if set(map(str.count, rows, repeat(","))) != {FIELD_COUNT - 1}:
         _raise_parse_error(lines)
     fields = ",".join(rows).split(",")

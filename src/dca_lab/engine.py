@@ -74,7 +74,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .agents import (
     CATEGORY_TEXT,
@@ -184,13 +184,13 @@ class World:
     trace: TraceLog | None = None
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
+    """What ``run`` computed; the caller keeps the config it passed."""
+
     results: list[ClassificationResult]
     confusion: ConfusionCounts
     metrics: Metrics
     histogram: MCAVHistogram
-    config_echo: SimConfig
 
 
 class TraceLog:
@@ -448,10 +448,4 @@ def run(
 
     confusion, metrics = compute_metrics(world.results)
     histogram = build_histogram(map(attrgetter("mcav"), world.results), config.histogram_bins)
-    return RunReport(
-        results=world.results,
-        confusion=confusion,
-        metrics=metrics,
-        histogram=histogram,
-        config_echo=config,
-    )
+    return RunReport(world.results, confusion, metrics, histogram)

@@ -15,7 +15,7 @@ straight-line reference implementation used in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .schema import Field, InvalidConfigError, check, rows
 
@@ -29,8 +29,7 @@ SIGNAL_SCALE = 100.0
 MAX_WEIGHT = 1e100
 
 
-@dataclass(frozen=True)
-class CumulativeSignals:
+class CumulativeSignals(NamedTuple):
     """Running totals of the output signals over a DC's sampled antigens."""
 
     cum_csm: float = 0.0

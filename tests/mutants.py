@@ -1,10 +1,10 @@
-"""Mutation gate: each of the 63 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 66 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
     python tests/mutants.py
 
-All 63 take 113–159 s on a 2-vCPU VM (Python 3.11).
+All 66 take about 134 s on a 2-vCPU VM (Python 3.11).
 
 Each entry in ``MUTANTS`` is (file under ``src/dca_lab``, exact snippet,
 replacement, test ids). The script copies ``src/`` to a temporary
@@ -19,14 +19,10 @@ or a test failure (a renamed test, a collection error, a run past
 ``TIMEOUT_S``). Pytest does not collect this file: its name does not
 start with ``test_``.
 
-Two mutants found by a survey of comparison, arithmetic and literal
-changes are equivalent, so they are not listed:
-
-- ``signal_model.MAX_WEIGHT = 1e100`` -> ``1e100 + 1``: the sum rounds
-  back to the same float, 1e100.
-- ``data_ingest._read_columns``' ``return [], 0`` -> ``return [], 1``
-  for a file of blank lines: ``load_dataset`` raises for a file with no
-  records before it reads the row count.
+One mutant found by a survey of comparison, arithmetic and literal
+changes is equivalent, so it is not listed:
+``signal_model.MAX_WEIGHT = 1e100`` -> ``1e100 + 1``: the sum rounds
+back to the same float, 1e100.
 """
 
 from __future__ import annotations
@@ -219,6 +215,15 @@ MUTANTS = [
     # The median's index one lower: an odd count of distinct values takes the one below the middle.
     Mutant("data_ingest.py", "bisect_right(ends, (ends[-1] - 1) // 2)", "bisect_right(ends, (ends[-1] - 2) // 2)",
            ("tests/test_data_ingest.py::TestLoadDataset::test_impute_median_middle_of_three",)),
+    # A file of blank lines reaches the parse-error walk, which finds no fault and asserts.
+    Mutant("data_ingest.py", "    if not rows:\n", "    if False:\n",
+           ("tests/test_data_ingest.py::TestLoadDataset::test_empty_stream",)),
+    # An antigen at or below the MCAV cutoff is predicted as its true label.
+    Mutant("engine.py", "anomalous_threshold else Category.NORMAL", "anomalous_threshold else ag.true_label",
+           ("tests/test_metamorphic.py::test_label_flip_swaps_the_labels_and_nothing_the_engine_computes",)),
+    # Each record's antigen id is its row's sample id.
+    Mutant("data_ingest.py", "zip(count(), *columns)", "zip(sample_ids, *columns)",
+           ("tests/test_metamorphic.py::test_sample_ids_leave_every_file_byte_identical",)),
 ]
 
 
