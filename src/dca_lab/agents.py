@@ -21,27 +21,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 from .signal_model import CumulativeSignals
 
 
-class Category(Enum):
-    """The two classification outcomes. Anomalous is the positive class."""
+class Category:
+    """The two labels, as the output files print them. Anomalous is the positive class."""
 
     NORMAL = "normal"
     ANOMALOUS = "anomalous"
-
-    # Enum hashes a member by its name, in Python code. A member equals
-    # only itself, so the identity hash is consistent, and a dict keyed by
-    # members is read at the cost of a plain object key.
-    __hash__ = object.__hash__
-
-
-#: Each category's text, as the output files print it. A dict read costs
-#: less than the ``value`` property of an Enum member.
-CATEGORY_TEXT = {category: category.value for category in Category}
 
 
 @dataclass(slots=True)
@@ -86,7 +75,7 @@ class AntigenAgent:
     antigen's spawn, and None in an untraced run.
     """
 
-    true_label: Category
+    true_label: str
     expected_contexts: int
     id_text: str | None = None
     received: int = 0
@@ -173,6 +162,6 @@ def compute_mcav(contexts: Sequence[int]) -> float:
     return sum(contexts) / len(contexts)
 
 
-def classify_antigen(mcav: float, anomalous_threshold: float) -> Category:
+def classify_antigen(mcav: float, anomalous_threshold: float) -> str:
     """Anomalous iff mcav strictly exceeds the threshold. Reference rule; ``engine._vote`` inlines it."""
     return Category.ANOMALOUS if mcav > anomalous_threshold else Category.NORMAL

@@ -23,8 +23,8 @@ class ClassificationResult(NamedTuple):
 
     antigen_id: int
     mcav: float
-    predicted: Category
-    actual: Category
+    predicted: str
+    actual: str
 
 
 class MCAVHistogram(NamedTuple):
@@ -96,15 +96,15 @@ def compute_metrics(results) -> tuple[ConfusionCounts, Metrics]:
     normal_mcavs: Counter = Counter()
     anomalous_mcavs: Counter = Counter()
     for (mcav, predicted, actual), n in Counter(map(attrgetter("mcav", "predicted", "actual"), results)).items():
-        if actual is Category.ANOMALOUS:
+        if actual == Category.ANOMALOUS:
             anomalous_mcavs[mcav] += n
-            if predicted is Category.ANOMALOUS:
+            if predicted == Category.ANOMALOUS:
                 tp += n
             else:
                 fn += n
         else:
             normal_mcavs[mcav] += n
-            if predicted is Category.ANOMALOUS:
+            if predicted == Category.ANOMALOUS:
                 fp += n
             else:
                 tn += n

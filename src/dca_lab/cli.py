@@ -25,7 +25,6 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterator
 
-from .agents import CATEGORY_TEXT
 from .analysis import ClassificationResult, MCAVHistogram
 from .data_ingest import DatasetError, DatasetSummary, load_dataset
 from .engine import MAX_SEED, EngineFaultError, RunReport, SimConfig, TraceLog, run
@@ -148,7 +147,7 @@ def results_csv_text(results: list[ClassificationResult]) -> str:
     for antigen_id, mcav, predicted, actual in results:
         tail = tails.get((mcav, predicted, actual))
         if tail is None:
-            tail = tails[mcav, predicted, actual] = f",{mcav:.6f},{CATEGORY_TEXT[predicted]},{CATEGORY_TEXT[actual]}"
+            tail = tails[mcav, predicted, actual] = f",{mcav:.6f},{predicted},{actual}"
         lines.append(f"{antigen_id}{tail}")
     return "\n".join(lines) + "\n"
 
@@ -165,10 +164,7 @@ def report_json_text(report: RunReport, summary: DatasetSummary, config: SimConf
     document = {
         "seed": config.seed,
         "config": config_to_dict(config),
-        "dataset_summary": {
-            **summary._asdict(),
-            "label_counts": {category.value: count for category, count in summary.label_counts.items()},
-        },
+        "dataset_summary": summary._asdict(),
         "confusion": report.confusion._asdict(),
         "metrics": report.metrics._asdict(),
         "histogram": report.histogram._asdict(),  # json writes its tuples as lists
@@ -241,6 +237,9 @@ def run_command(args: argparse.Namespace) -> int:
     except InvalidConfigError as exc:
         print(f"dca-lab: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except DatasetError as exc:
+        print(f"dca-lab: dataset fault in {data_path}: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except EngineFaultError as exc:
         print(f"dca-lab: engine fault: {exc}", file=sys.stderr)
         return EXIT_ENGINE

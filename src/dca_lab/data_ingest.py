@@ -52,7 +52,7 @@ class AntigenRecord(NamedTuple):
     antigen_id: int
     source_sample_id: int
     attributes: tuple[float, ...]
-    true_label: Category
+    true_label: str
 
 
 _FINITE = {"row": Field(float, -sys.float_info.max, sys.float_info.max)}
@@ -82,7 +82,7 @@ class DatasetSummary(NamedTuple):
     rows_read: int
     rows_skipped: int
     records_produced: int
-    label_counts: dict[Category, int]
+    label_counts: dict[str, int]
 
 
 def normalize_attribute(value: float, lo: float, hi: float) -> float:

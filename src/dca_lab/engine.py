@@ -38,7 +38,8 @@ and kept on the agent; the ``"<tick>,"`` head per tick; a vote's
 ``repr`` per ``TraceLog``. In an untraced world no agent holds id text.
 
 ``run`` checks its records once, before the first tick: the mapping
-fits them, their attributes lie in [0, 1] and their ids are distinct.
+fits them, their attributes lie in [0, 1], their ids are distinct and
+each label is ``"normal"`` or ``"anomalous"``.
 ``init_world``, ``step``, ``flush`` and signal derivation trust them.
 
 The population is lazy: ``world.dcs`` holds ``None`` at a slot until
@@ -76,15 +77,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import IO, NamedTuple, Sequence
 
-from .agents import (
-    CATEGORY_TEXT,
-    AntigenAgent,
-    Category,
-    DCAgent,
-    antigen_handle_context,
-    dc_handle_picked,
-    sample_dcs,
-)
+from .agents import AntigenAgent, Category, DCAgent, antigen_handle_context, dc_handle_picked, sample_dcs
 from .analysis import (
     ClassificationResult,
     ConfusionCounts,
@@ -94,7 +87,7 @@ from .analysis import (
     compute_metrics,
 )
 from .data_ingest import AntigenRecord, AttributePolicy, DatasetError
-from .schema import Field, InvalidConfigError, check
+from .schema import Field, InvalidConfigError, brief, check
 from .signal_model import (
     DEFAULT_WEIGHT_MATRIX,
     SignalMapping,
@@ -304,7 +297,7 @@ def _vote(world: World, config: SimConfig, dc: DCAgent, event: str) -> None:
                 mcav_text = trace.mcav_texts.get(mcav)
                 if mcav_text is None:
                     mcav_text = trace.mcav_texts[mcav] = repr(mcav)
-                emit(f"{head}finalize,{ag.id_text},{mcav_text};{CATEGORY_TEXT[predicted]}\r\n")
+                emit(f"{head}finalize,{ag.id_text},{mcav_text};{predicted}\r\n")
     world.samples_retired += len(dc.sampled)
 
 
@@ -354,7 +347,7 @@ def step(world: World, config: SimConfig) -> None:
             antigen_text = str(antigen_id)
             world.antigens_in_flight[antigen_id] = AntigenAgent(record.true_label, k, antigen_text)
             emit = trace.emit
-            emit(f"{head}spawn,{antigen_text},{CATEGORY_TEXT[record.true_label]}\r\n")
+            emit(f"{head}spawn,{antigen_text},{record.true_label}\r\n")
             pick_head = f"{head}pick,{antigen_text};"
 
         # The output triple depends only on the record and the config, so
@@ -425,6 +418,10 @@ def _check_records(config: SimConfig, records: Sequence[AntigenRecord]) -> None:
     if len(set(ids)) != len(ids):
         repeated = next(aid for aid, n in Counter(ids).items() if n > 1)
         raise DatasetError(f"antigen id {repeated} is repeated")
+    labels = list(map(attrgetter("true_label"), records))  # counted, not hashed: a label may be any object
+    if labels.count(Category.NORMAL) + labels.count(Category.ANOMALOUS) != len(labels):
+        bad = next(r for r in records if r.true_label not in (Category.NORMAL, Category.ANOMALOUS))
+        raise DatasetError(f"antigen {bad.antigen_id} has label {brief(bad.true_label)}, not normal or anomalous")
 
 
 def run(
@@ -434,8 +431,9 @@ def run(
 ) -> RunReport:
     """Run the full simulation: check the records, init, one tick per record, flush, analyse.
 
-    Rejects no records, an attribute outside [0, 1] or a repeated antigen
-    id (``DatasetError``), and a signal mapping that names an attribute a
+    Rejects no records, an attribute outside [0, 1], a repeated antigen
+    id or a label other than ``"normal"`` and ``"anomalous"``
+    (``DatasetError``), and a signal mapping that names an attribute a
     record lacks (``InvalidConfigError``).
     A deterministic function of (config, records): identical inputs give
     identical reports, including every rng-dependent field.

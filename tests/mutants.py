@@ -1,10 +1,10 @@
-"""Mutation gate: each of the 66 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 71 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
     python tests/mutants.py
 
-All 66 take about 134 s on a 2-vCPU VM (Python 3.11).
+All 71 take about 200 s on a 2-vCPU VM (Python 3.11).
 
 Each entry in ``MUTANTS`` is (file under ``src/dca_lab``, exact snippet,
 replacement, test ids). The script copies ``src/`` to a temporary
@@ -12,12 +12,15 @@ directory and first runs all named tests on the unmutated copy, which
 must pass. Then, one mutant at a time, it replaces the snippet in the
 copy, runs only that mutant's tests against it in one subprocess, with
 hypothesis derandomized, and restores the file. It prints each mutant's
-verdict and seconds, then the total. It exits 1 if a snippet does not
-occur exactly once in its file (so a refactor has to carry its mutants
-forward), if a mutant survives, or if pytest ends in anything but a pass
-or a test failure (a renamed test, a collection error, a run past
+verdict and seconds, then the total. It exits 1 before running any
+test if ``table_faults`` finds a fault in the table: a snippet that does
+not occur exactly once in its file (so a refactor has to carry its
+mutants forward), or a test id whose file does not define its class or
+test. It also exits 1 if a mutant survives, or if pytest ends in anything
+but a pass or a test failure (a collection error, a run past
 ``TIMEOUT_S``). Pytest does not collect this file: its name does not
-start with ``test_``.
+start with ``test_``. ``tests/test_mutants.py`` runs ``table_faults`` in
+tier-1, so a stale table fails there first.
 
 One mutant found by a survey of comparison, arithmetic and literal
 changes is equivalent, so it is not listed:
@@ -28,6 +31,7 @@ back to the same float, 1e100.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -224,7 +228,44 @@ MUTANTS = [
     # Each record's antigen id is its row's sample id.
     Mutant("data_ingest.py", "zip(count(), *columns)", "zip(sample_ids, *columns)",
            ("tests/test_metamorphic.py::test_sample_ids_leave_every_file_byte_identical",)),
+    # A constant in place of one weight: equal to the default, so only a scaled config sees it.
+    Mutant("signal_model.py", "csm = weights.pamp[0] * pamp", "csm = 2.0 * pamp",
+           ("tests/test_metamorphic.py::test_power_of_two_scaling_leaves_results_and_histogram_byte_identical",)),
+    # A replaced DC keeps its semi and mat sums: each vote also weighs the antigens its slot voted for before.
+    Mutant("engine.py", "    dc.cum_csm = dc.cum_semi = dc.cum_mat = 0.0\n", "    dc.cum_csm = 0.0\n",
+           ("tests/test_metamorphic.py::test_first_pick_regime_gives_each_record_its_own_vote",)),
+    # Labels compared by identity: an equal label built at run time is counted as normal.
+    Mutant("analysis.py", "if actual == Category.ANOMALOUS:", "if actual is Category.ANOMALOUS:",
+           ("tests/test_analysis.py::TestComputeMetrics::test_labels_are_compared_by_value",)),
+    # Any label runs, and is counted as normal.
+    Mutant("engine.py", "    if labels.count(Category.NORMAL) + labels.count(Category.ANOMALOUS) != len(labels):\n",
+           "    if False:\n",
+           ("tests/test_engine.py::TestRecordsCheck::test_label_other_than_normal_or_anomalous_rejected[weird]",)),
+    # Records that run rejects end the CLI in a traceback.
+    Mutant("cli.py", '    except DatasetError as exc:\n        print(f"dca-lab: dataset fault in {data_path}: {exc}", file=sys.stderr)\n        return EXIT_DATA\n', "",
+           ("tests/test_cli.py::TestExitCodes::test_records_run_rejects_exit_3_with_one_line[repeated_id]",)),
 ]
+
+
+def table_faults(root: Path = ROOT) -> list[str]:
+    """What is wrong with ``MUTANTS`` against the sources and tests under ``root``, one line per fault.
+
+    Each snippet must occur exactly once in its file under ``src/dca_lab``,
+    and each test id's file must define every class and test the id names
+    (parameters in brackets aside).
+    """
+    faults = []
+    for i, m in enumerate(MUTANTS, start=1):
+        count = (root / "src" / "dca_lab" / m.file).read_text(encoding="utf-8").count(m.snippet)
+        if count != 1:
+            faults.append(f"mutant {i} ({m.file}: {m.snippet.strip()!r}): the snippet occurs {count} times, not once")
+        for test in m.tests:
+            path, *names = test.split("[")[0].split("::")
+            text = (root / path).read_text(encoding="utf-8") if (root / path).is_file() else ""
+            missing = [n for n in names if not re.search(rf"^\s*(class|def) {n}\b", text, re.MULTILINE)]
+            if not names or missing:
+                faults.append(f"mutant {i}: {path} does not define {', '.join(missing) or 'a test'} of {test}")
+    return faults
 
 
 def run_tests(src: Path, tests: tuple[str, ...]) -> int | None:
@@ -241,6 +282,10 @@ def run_tests(src: Path, tests: tuple[str, ...]) -> int | None:
 
 def main() -> int:
     started = time.monotonic()
+    faults = table_faults()
+    if faults:
+        print("\n".join(faults))
+        return 1
     failures = []
     with tempfile.TemporaryDirectory(prefix="dca-mutants-") as tmp:
         src = Path(tmp) / "src"
@@ -253,9 +298,6 @@ def main() -> int:
             path = src / "dca_lab" / m.file
             original = path.read_text(encoding="utf-8")
             label = f"mutant {i} ({m.file}: {m.snippet.strip()!r} -> {m.replacement.strip()!r})"
-            if original.count(m.snippet) != 1:
-                failures.append(f"{label}: the snippet does not occur exactly once")
-                continue
             path.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
             mutant_started = time.monotonic()
             try:

@@ -118,6 +118,12 @@ class TestComputeMetrics:
         assert metrics.mean_mcav_normal == pytest.approx(0.3)
         assert metrics.mean_mcav_anomalous == 0.9
 
+    def test_labels_are_compared_by_value(self):
+        anomalous = "".join(["anomal", "ous"])  # equal to A, but another object
+        assert anomalous is not A
+        confusion, _ = compute_metrics([result(0, 0.9, anomalous, anomalous)])
+        assert confusion == ConfusionCounts(tp=1, tn=0, fp=0, fn=0)
+
     def test_empty_results(self):
         with pytest.raises(ValueError, match="^no classification results to score$"):
             compute_metrics([])

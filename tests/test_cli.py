@@ -33,6 +33,7 @@ from dca_lab.cli import (
     config_to_dict,
     main,
 )
+from dca_lab.data_ingest import AntigenRecord, DatasetSummary
 from dca_lab.engine import MAX_SIZE, EngineFaultError, InvalidConfigError, SimConfig
 from dca_lab.signal_model import MAX_WEIGHT
 
@@ -377,6 +378,23 @@ class TestExitCodes:
         assert main(["run", "--data", str(data), "--out", str(tmp_path / "out")]) == EXIT_ENGINE
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["dca-lab: engine fault: tick 3: DC 1 voted for antigen 2 which is not in flight"]
+
+    # ``load_dataset`` yields neither fault; ``run``'s check of its records rejects both.
+    @pytest.mark.parametrize(("records", "message"), [
+        ([(0, "normal"), (0, "anomalous")], "antigen id 0 is repeated"),
+        ([(0, "normal"), (1, "weird")], "antigen 1 has label 'weird', not normal or anomalous"),
+    ], ids=["repeated_id", "bad_label"])
+    def test_records_run_rejects_exit_3_with_one_line(self, tmp_path, capsys, monkeypatch, records, message):
+        def load_faulty(handle, policy):
+            faulty = [AntigenRecord(aid, aid, (0.5,) * 9, label) for aid, label in records]
+            return faulty, DatasetSummary(2, 0, 2, {"normal": 1, "anomalous": 1})
+
+        monkeypatch.setattr(cli, "load_dataset", load_faulty)
+        data = write_dataset(tmp_path / "d.data")
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data), "--out", str(out), "--trace"]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [f"dca-lab: dataset fault in {data}: {message}"]
+        assert list(out.iterdir()) == []
 
     def test_one_error_class_per_exit_code(self):
         # Exits 3, 4 and 5 each catch one class; a helper's misuse raises ValueError.

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+import re
 import tracemalloc
 from collections import deque
 
@@ -591,6 +592,14 @@ class TestRecordsCheck:
             AntigenRecord(1, 1, (1.0, 0.0), Category.ANOMALOUS),
         ]
         assert len(run(small_config(), records).results) == 2
+
+    @pytest.mark.parametrize("bad", ["weird", "Normal", None, ["normal"]], ids=["weird", "Normal", "None", "unhashable"])
+    def test_label_other_than_normal_or_anomalous_rejected(self, bad):
+        records = make_records(random.Random(5), 6, 2)
+        records[3] = records[3]._replace(true_label=bad)
+        records[4] = records[4]._replace(true_label="weird")
+        with pytest.raises(DatasetError, match=rf"^antigen 3 has label {re.escape(repr(bad))}, not normal or anomalous$"):
+            run(small_config(), records)
 
     def test_repeated_id_that_is_not_the_first_is_named(self):
         records = [AntigenRecord(aid, i, (0.5,) * 9, Category.NORMAL) for i, aid in enumerate([0, 1, 1])]

@@ -1,9 +1,10 @@
-"""Metamorphic relations at the CLI: how a run's files move when the dataset is rewritten.
+"""Metamorphic relations at the CLI: how a run's files move when the dataset or config is rewritten.
 
 Each test draws rows of the synthetic WBC-like file and a seed, runs
-``dca-lab run --trace`` on the rows and on a rewrite of them, and checks
-how the four output files relate. Neither side is checked against a
-reference: the two runs check each other.
+``dca-lab run --trace`` on the rows and on a rewrite of them or of the
+config, and checks how the output files relate. Neither side is checked
+against a reference: the two runs check each other. The last relation
+checks one run against what its regime forces.
 
 - Label flip: swapping class codes 2 and 4 changes nothing the engine
   computes. The ``mcav`` and ``predicted`` columns and ``histogram.csv``
@@ -11,11 +12,24 @@ reference: the two runs check each other.
   fp, tn with fn, the two rates and the two class means swap.
 - Sample ids: no output names a row's sample id, so rewriting every one
   leaves all four files byte-identical.
+- Power-of-two scaling: multiplying every weight and both threshold
+  bounds by 2^e scales every csm sum and every threshold exactly, and
+  semi and mat alike, so no comparison moves: ``results.csv`` and
+  ``histogram.csv`` stay byte-identical.
+- First pick: with the default weights and mapping a record of mean
+  normalized attribute m gives csm = 200 + 100m >= 200, semi = 300(1 - m)
+  and mat = 600m - 300. With every threshold below 200, each DC migrates
+  at its first pick and votes on that one record: mature iff m >= 2/3.
+  So each MCAV is 1 iff m > 2/3, and 0 iff m < 2/3; m = 2/3 is a tie
+  that float rounding may settle either way.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
+from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
@@ -23,6 +37,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import write_wbc_like_file
 from dca_lab.cli import main
+from dca_lab.signal_model import DEFAULT_WEIGHT_MATRIX
 
 OUTPUTS = ("results.csv", "report.json", "histogram.csv", "trace.csv")
 SWAP_LABEL = {"normal": "anomalous", "anomalous": "normal"}
@@ -41,14 +56,24 @@ def rows_and_seed():
     return st.tuples(st.lists(st.integers(0, 698), min_size=1, max_size=120), st.integers(0, 2**64 - 1))
 
 
-def run_outputs(work, name, rows, seed):
-    """The exit code and the four output files of a traced run on ``rows``."""
+def run_outputs(work, name, rows, seed, config=None):
+    """The exit code and the four output files of a traced run on ``rows``, with the ``config`` document if given."""
     data = work / f"{name}.data"
     data.write_text("".join(row + "\n" for row in rows))
     out = work / name
+    argv = ["run", "--data", str(data), "--seed", str(seed), "--out", str(out), "--trace"]
+    if config is not None:
+        (work / f"{name}.json").write_text(json.dumps(config))
+        argv += ["--config", str(work / f"{name}.json")]
     with contextlib.redirect_stderr(io.StringIO()):
-        code = main(["run", "--data", str(data), "--seed", str(seed), "--out", str(out), "--trace"])
+        code = main(argv)
     return code, {f: (out / f).read_bytes() if code == 0 else None for f in OUTPUTS}
+
+
+def population_and_k():
+    """A ``population_size`` N up to 20 and a ``dcs_per_antigen`` k <= N, as config keys."""
+    return st.integers(1, 20).flatmap(
+        lambda n: st.builds(lambda k: {"population_size": n, "dcs_per_antigen": k}, st.integers(1, n)))
 
 
 def wbc_rows(work, picks):
@@ -112,3 +137,41 @@ def test_sample_ids_leave_every_file_byte_identical(work, case, data):
     renamed_code, renamed = run_outputs(work, "renamed", renamed, seed)
     # File names, not bytes: pytest would take minutes to diff two traces.
     assert (renamed_code, [f for f in OUTPUTS if renamed[f] != plain[f]]) == (code, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_and_seed(), population_and_k(), st.lists(st.floats(1.0, 1000.0), min_size=2, max_size=2).map(sorted),
+       st.integers(-10, 10).filter(bool))
+def test_power_of_two_scaling_leaves_results_and_histogram_byte_identical(work, case, sizes, threshold_range, e):
+    picks, seed = case
+    rows = wbc_rows(work, picks)
+    weights = dataclasses.asdict(DEFAULT_WEIGHT_MATRIX)
+    scaled = {
+        **sizes,
+        "threshold_range": [math.ldexp(t, e) for t in threshold_range],
+        "weight_matrix": {name: [math.ldexp(w, e) for w in row] for name, row in weights.items()},
+    }
+    code, plain = run_outputs(work, "plain", rows, seed, {**sizes, "threshold_range": threshold_range})
+    scaled_code, scaled = run_outputs(work, "scaled", rows, seed, scaled)
+    assert scaled_code == code
+    assert scaled["results.csv"] == plain["results.csv"]
+    assert scaled["histogram.csv"] == plain["histogram.csv"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_and_seed(), population_and_k(),
+       st.lists(st.floats(0.0, 200.0, exclude_min=True, exclude_max=True), min_size=2, max_size=2).map(sorted))
+def test_first_pick_regime_gives_each_record_its_own_vote(work, case, sizes, threshold_range):
+    picks, seed = case
+    rows = wbc_rows(work, picks)
+    code, outputs = run_outputs(work, "first_pick", rows, seed, {**sizes, "threshold_range": threshold_range})
+    kept = [row.split(",")[1:10] for row in rows if "?" not in row]  # skip_record drops the rest
+    assert code == (0 if kept else 3)
+    if not kept:
+        return
+    results = {int(r[0]): r[1:3] for r in csv_rows(outputs["results.csv"])}
+    assert sorted(results) == list(range(len(kept)))
+    for antigen_id, values in enumerate(kept):
+        m = Fraction(sum(int(v) - 1 for v in values), 81)  # the mean of the nine (v - 1) / 9
+        if m != Fraction(2, 3):
+            assert results[antigen_id] == (["1.000000", "anomalous"] if m > Fraction(2, 3) else ["0.000000", "normal"])

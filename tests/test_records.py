@@ -19,13 +19,13 @@ RECORDS = {
         AntigenRecord,
         {"antigen_id": 3, "source_sample_id": 1000025, "attributes": (0.5, 0.0), "true_label": Category.NORMAL},
         "AntigenRecord(antigen_id=3, source_sample_id=1000025, attributes=(0.5, 0.0), "
-        "true_label=<Category.NORMAL: 'normal'>)",
+        "true_label='normal')",
     ),
     "result": (
         ClassificationResult,
         {"antigen_id": 3, "mcav": 0.7, "predicted": Category.ANOMALOUS, "actual": Category.NORMAL},
-        "ClassificationResult(antigen_id=3, mcav=0.7, predicted=<Category.ANOMALOUS: 'anomalous'>, "
-        "actual=<Category.NORMAL: 'normal'>)",
+        "ClassificationResult(antigen_id=3, mcav=0.7, predicted='anomalous', "
+        "actual='normal')",
     ),
     "confusion": (
         ConfusionCounts,

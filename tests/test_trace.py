@@ -77,5 +77,5 @@ def test_traced_run_matches_untraced_and_finalizes_each_antigen(population_and_k
     assert traced.results == run(config, records).results
     finalized = sorted(row[2:] for row in trace_rows(stream.getvalue()) if row[1] == "finalize")
     assert finalized == sorted(
-        [str(r.antigen_id), f"{r.mcav!r};{r.predicted.value}"] for r in traced.results
+        [str(r.antigen_id), f"{r.mcav!r};{r.predicted}"] for r in traced.results
     )
