@@ -20,7 +20,6 @@ agree with them at the ties.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .signal_model import CumulativeSignals
@@ -33,7 +32,6 @@ class Category:
     ANOMALOUS = "anomalous"
 
 
-@dataclass(slots=True)
 class DCAgent:
     """A data processor: accumulates signals over picks until it migrates.
 
@@ -48,13 +46,15 @@ class DCAgent:
     when the DC gets its id, and None in an untraced run.
     """
 
-    dc_id: int
-    migration_threshold: float
-    cum_csm: float = 0.0
-    cum_semi: float = 0.0
-    cum_mat: float = 0.0
-    sampled: list[int] = field(default_factory=list)
-    id_text: str | None = None
+    __slots__ = ("dc_id", "migration_threshold", "cum_csm", "cum_semi", "cum_mat", "sampled", "id_text")
+
+    def __init__(self, dc_id: int, migration_threshold: float, cum_csm: float = 0.0, cum_semi: float = 0.0,
+                 cum_mat: float = 0.0, sampled: list[int] | None = None, id_text: str | None = None):
+        self.dc_id = dc_id
+        self.migration_threshold = migration_threshold
+        self.cum_csm, self.cum_semi, self.cum_mat = cum_csm, cum_semi, cum_mat
+        self.sampled = [] if sampled is None else sampled
+        self.id_text = id_text
 
     @property
     def cum(self) -> CumulativeSignals:
@@ -65,7 +65,6 @@ class DCAgent:
         self.cum_csm, self.cum_semi, self.cum_mat = value
 
 
-@dataclass(slots=True)
 class AntigenAgent:
     """One record in flight, awaiting one context bit per DC pick.
 
@@ -75,11 +74,15 @@ class AntigenAgent:
     antigen's spawn, and None in an untraced run.
     """
 
-    true_label: str
-    expected_contexts: int
-    id_text: str | None = None
-    received: int = 0
-    ones: int = 0
+    __slots__ = ("true_label", "expected_contexts", "id_text", "received", "ones")
+
+    def __init__(self, true_label: str, expected_contexts: int, id_text: str | None = None,
+                 received: int = 0, ones: int = 0):
+        self.true_label = true_label
+        self.expected_contexts = expected_contexts
+        self.id_text = id_text
+        self.received = received
+        self.ones = ones
 
 
 def sample_dcs(n: int, k: int, rng: random.Random) -> list[int]:

@@ -16,19 +16,17 @@ config, 5 engine fault, 6 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from contextlib import contextmanager
-from enum import Enum
 from pathlib import Path
 from typing import IO, Iterator
 
 from .analysis import ClassificationResult, MCAVHistogram
 from .data_ingest import DatasetError, DatasetSummary, load_dataset
 from .engine import MAX_SEED, EngineFaultError, RunReport, SimConfig, TraceLog, run
-from .schema import Field, InvalidConfigError, brief, expected_text, rows
+from .schema import REQUIRED, Config, InvalidConfigError, brief, expected_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,52 +37,37 @@ EXIT_IO = 6
 
 OUT_DIR_ENV_VAR = "DCA_LAB_OUT"
 
-def config_to_dict(config) -> dict:
-    """The JSON document of a SimConfig or of one of its components."""
-    document = {}
-    for name, f in rows(config).items():
-        value = getattr(config, name)
-        if dataclasses.is_dataclass(f.kind):
-            value = config_to_dict(value)
-        elif f.length is not None:
-            value = list(value)
-        elif isinstance(value, Enum):
-            value = value.value
-        document[name] = value
-    return document
+def config_to_dict(config: Config) -> dict:
+    """The JSON document of a SimConfig or of one of its components: a component as an object, an array as a list."""
+    return {name: config_to_dict(value) if isinstance(value, Config) else list(value) if isinstance(value, tuple) else value
+            for name, value in vars(config).items()}
 
 
-def _from_json(value, f: Field, path: str):
-    """The JSON value as its constructor takes it: a component for an object, a member for an enum's string."""
-    if dataclasses.is_dataclass(f.kind) and isinstance(value, dict):
-        return config_from_dict(value, f.kind, path)
-    if issubclass(f.kind, Enum) and value in [m.value for m in f.kind]:
-        return f.kind(value)
-    return value
-
-
-def config_from_dict(data, cls: type = SimConfig, path: str = ""):
-    """Build a SimConfig (or one component) from parsed JSON, by one walk over its fields.
+def config_from_dict(data, cls: type[Config] = SimConfig, path: str = "") -> Config:
+    """Build a SimConfig (or one component) from parsed JSON, by one walk over its rows.
 
     Values must have their JSON kind exactly: integers are never bools or
     floats, flags are true or false. Nothing is coerced. Keys starting
     with ``_`` are ignored at every depth; any other unknown key, and a
     missing key that has no default, is an error that names its dotted
-    path. The constructor of each class checks its values; this adds the path.
+    path. An object in a component's row is built as that component; the
+    constructor of each class checks its values, and this adds the path.
     """
     if not isinstance(data, dict):
         raise InvalidConfigError(f"config must be an object, got {brief(data)}")
     prefix = f"{path}." if path else ""
-    declared = rows(cls)
-    unknown = sorted(prefix + k for k in data if k not in declared and not k.startswith("_"))
+    unknown = sorted(prefix + k for k in data if k not in cls.ROWS and not k.startswith("_"))
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
     kwargs = {}
-    for d in dataclasses.fields(cls):
-        if d.name in data:
-            kwargs[d.name] = _from_json(data[d.name], declared[d.name], prefix + d.name)
-        elif d.default is d.default_factory is dataclasses.MISSING:  # a component field without a default is required
-            raise InvalidConfigError(f"{prefix}{d.name} is missing: expected {expected_text(declared[d.name])}")
+    for name, f in cls.ROWS.items():
+        if name not in data:
+            if f.default is REQUIRED:
+                raise InvalidConfigError(f"{prefix}{name} is missing: expected {expected_text(f)}")
+        elif issubclass(f.kind, Config) and isinstance(data[name], dict):
+            kwargs[name] = config_from_dict(data[name], f.kind, prefix + name)
+        else:
+            kwargs[name] = data[name]
     try:
         return cls(**kwargs)
     except InvalidConfigError as exc:
@@ -130,7 +113,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_default_config(path: Path) -> None:
-    document = {"_notes": {name: f.note for name, f in rows(SimConfig).items()}}
+    document = {"_notes": {name: f.note for name, f in SimConfig.ROWS.items()}}
     document.update(config_to_dict(SimConfig()))
     _atomic_write_text(path, json.dumps(document, indent=2) + "\n")
 
@@ -205,7 +188,7 @@ def run_command(args: argparse.Namespace) -> int:
     try:
         config = load_config(Path(args.config)) if args.config else SimConfig()
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
+            config = config.replace(seed=args.seed)
     except InvalidConfigError as exc:
         print(f"dca-lab: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,14 +16,12 @@ import math
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from enum import Enum
 from itertools import accumulate, compress, count, islice, repeat
 from operator import attrgetter, countOf
 from typing import BinaryIO, NamedTuple, NoReturn
 
 from .agents import Category
-from .schema import Field, InvalidConfigError, brief, check
+from .schema import Config, Field, InvalidConfigError, brief
 
 ATTRIBUTE_COUNT = 9
 FIELD_COUNT = ATTRIBUTE_COUNT + 2  # sample id, attributes, class code
@@ -36,7 +34,9 @@ class DatasetError(ValueError):
     """The dataset or its records are faulty; the CLI exits 3. The message names the fault."""
 
 
-class MissingValuePolicy(Enum):
+class MissingValuePolicy:
+    """The two ways to treat a missing attribute, as the config file spells them."""
+
     SKIP_RECORD = "skip_record"
     IMPUTE_MEDIAN = "impute_median"
 
@@ -55,11 +55,7 @@ class AntigenRecord(NamedTuple):
     true_label: str
 
 
-_FINITE = {"row": Field(float, -sys.float_info.max, sys.float_info.max)}
-
-
-@dataclass(frozen=True)
-class AttributePolicy:
+class AttributePolicy(Config):
     """How to treat missing values, and the fixed min-max bounds.
 
     Bounds default to the dataset's documented [1, 10] attribute range so
@@ -68,12 +64,11 @@ class AttributePolicy:
     inf, every attribute would normalize to 0.0.
     """
 
-    missing_value_policy: MissingValuePolicy = field(default=MissingValuePolicy.SKIP_RECORD, metadata={"row": Field(MissingValuePolicy)})
-    lo: float = field(default=1.0, metadata=_FINITE)
-    hi: float = field(default=10.0, metadata=_FINITE)
+    missing_value_policy = Field(str, default=MissingValuePolicy.SKIP_RECORD, choices=(MissingValuePolicy.SKIP_RECORD, MissingValuePolicy.IMPUTE_MEDIAN))
+    lo = Field(float, -sys.float_info.max, sys.float_info.max, default=1.0)
+    hi = Field(float, -sys.float_info.max, sys.float_info.max, default=10.0)
 
-    def __post_init__(self):
-        check(self)
+    def rules(self):
         if not 0.0 < self.hi - self.lo < math.inf:
             raise InvalidConfigError(f"lo must be below hi, with hi - lo finite, got [{self.lo}, {self.hi}]")
 
@@ -213,7 +208,7 @@ def _read_columns(lines: list[str], policy: AttributePolicy) -> tuple[list[Antig
     normalized.update(dict.fromkeys(out_of_range | {MISSING_MARKER}))  # None marks a value no kept row may hold
     missing = _positions(fields, MISSING_MARKER) if MISSING_MARKER in tokens else []
     skipped: set[int] = set()
-    if policy.missing_value_policy is MissingValuePolicy.IMPUTE_MEDIAN:
+    if policy.missing_value_policy == MissingValuePolicy.IMPUTE_MEDIAN:
         fill = {}
         for column in sorted({p % ATTRIBUTE_COUNT for p in missing}):
             counts = Counter(fields[column::ATTRIBUTE_COUNT])

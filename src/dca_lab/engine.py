@@ -72,7 +72,6 @@ import random
 import struct
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import IO, NamedTuple, Sequence
@@ -87,7 +86,7 @@ from .analysis import (
     compute_metrics,
 )
 from .data_ingest import AntigenRecord, AttributePolicy, DatasetError
-from .schema import Field, InvalidConfigError, brief, check
+from .schema import Config, Field, InvalidConfigError, brief
 from .signal_model import (
     DEFAULT_WEIGHT_MATRIX,
     SignalMapping,
@@ -118,32 +117,27 @@ class EngineFaultError(RuntimeError):
     """An agent contract was violated mid-run; the simulation aborts and the CLI exits 5."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Config):
     """Full run configuration; every field has a shipped default.
 
-    Each field carries its schema row, which the CLI's JSON reader and
-    writer and ``gen-config`` read too. Thresholds must be > 0, so their
-    lower bound is the smallest positive float. Construction validates:
-    an instance that exists is a valid config.
+    Each field is its schema row, which the CLI's JSON reader and writer
+    and ``gen-config`` read too. Thresholds must be > 0, so their lower
+    bound is the smallest positive float. Construction validates: an
+    instance that exists is a valid config.
     """
 
-    population_size: int = field(default=100, metadata={"row": Field(int, 1, MAX_SIZE, note="number of DC agents alive at any instant (constant)")})
-    dcs_per_antigen: int = field(default=10, metadata={"row": Field(int, 1, MAX_SIZE, note="distinct DCs each antigen is presented to (its vote count)")})
-    threshold_range: tuple[float, float] = field(default=(100.0, 300.0), metadata={"row": Field(float, math.ulp(0.0), sys.float_info.max, length=2, note="[t_min, t_max] for the per-DC migration threshold, drawn uniformly")})
-    weight_matrix: WeightMatrix = field(default=DEFAULT_WEIGHT_MATRIX, metadata={"row": Field(WeightMatrix, note="per input signal: weights onto (csm, semi, mat); shipped values are a documented default, not a fitted result; the csm column must be nonnegative")})
-    signal_mapping: SignalMapping = field(default_factory=default_signal_mapping, metadata={"row": Field(SignalMapping, note="attribute indices feeding each input signal; safe_is_complement inverts the safe source mean")})
-    anomalous_threshold: float = field(default=0.5, metadata={"row": Field(float, 0.0, 1.0, note="MCAV cutoff; an antigen is anomalous iff its MCAV strictly exceeds it")})
-    histogram_bins: int = field(default=10, metadata={"row": Field(int, 1, MAX_SIZE, note="equal-width MCAV histogram bins over [0, 1]")})
-    attribute_policy: AttributePolicy = field(default_factory=AttributePolicy, metadata={"row": Field(AttributePolicy, note="missing_value_policy is skip_record or impute_median; lo/hi are the fixed min-max normalization bounds")})
-    seed: int = field(default=0, metadata={"row": Field(int, 0, MAX_SEED, note="64-bit unsigned rng seed; identical seed + inputs reproduce a run exactly")})
+    population_size = Field(int, 1, MAX_SIZE, default=100, note="number of DC agents alive at any instant (constant)")
+    dcs_per_antigen = Field(int, 1, MAX_SIZE, default=10, note="distinct DCs each antigen is presented to (its vote count)")
+    threshold_range = Field(float, math.ulp(0.0), sys.float_info.max, length=2, default=(100.0, 300.0), note="[t_min, t_max] for the per-DC migration threshold, drawn uniformly")
+    weight_matrix = Field(WeightMatrix, default=DEFAULT_WEIGHT_MATRIX, note="per input signal: weights onto (csm, semi, mat); shipped values are a documented default, not a fitted result; the csm column must be nonnegative")
+    signal_mapping = Field(SignalMapping, default=default_signal_mapping(), note="attribute indices feeding each input signal; safe_is_complement inverts the safe source mean")
+    anomalous_threshold = Field(float, 0.0, 1.0, default=0.5, note="MCAV cutoff; an antigen is anomalous iff its MCAV strictly exceeds it")
+    histogram_bins = Field(int, 1, MAX_SIZE, default=10, note="equal-width MCAV histogram bins over [0, 1]")
+    attribute_policy = Field(AttributePolicy, default=AttributePolicy(), note="missing_value_policy is skip_record or impute_median; lo/hi are the fixed min-max normalization bounds")
+    seed = Field(int, 0, MAX_SEED, default=0, note="64-bit unsigned rng seed; identical seed + inputs reproduce a run exactly")
 
-    def __post_init__(self):
-        """Check this config's own rows, then its two cross-field rules.
-
-        A component row checks only the kind: components check themselves.
-        """
-        check(self)
+    def rules(self):
+        """The two cross-field rules. A component row checks only the kind: components check themselves."""
         if self.dcs_per_antigen > self.population_size:
             raise InvalidConfigError(f"dcs_per_antigen must be in [1, population_size={self.population_size}], got {self.dcs_per_antigen}")
         t_min, t_max = self.threshold_range
@@ -151,30 +145,21 @@ class SimConfig:
             raise InvalidConfigError(f"threshold_range must satisfy t_min <= t_max, got [{t_min}, {t_max}]")
 
 
-@dataclass(slots=True)
 class World:
-    """Complete simulation state; confined to one thread of control at a time.
+    """Complete simulation state, as ``init_world`` fills it; confined to one thread of control at a time.
 
     ``dcs`` has one slot per DC, ``None`` until the slot's first pick
     (see ``dc_at``). ``threshold_words`` holds 8 bytes per slot: the two
-    generator words of the slot's initial threshold. In a traced world
-    every DC and antigen holds its id's text; in an untraced one none does.
+    generator words of the slot's initial threshold. For conservation
+    bookkeeping, ``contexts_delivered`` counts the context bits handed to
+    antigens and ``samples_retired`` the samples DCs held when they
+    migrated or were flushed. ``trace`` is the run's trace, or None for
+    an untraced run. In a traced world every DC and antigen holds its
+    id's text; in an untraced one none does.
     """
 
-    tick: int
-    pending: deque[AntigenRecord]
-    dcs: list[DCAgent | None]
-    antigens_in_flight: dict[int, AntigenAgent]
-    results: list[ClassificationResult]
-    rng: random.Random
-    next_dc_id: int
-    # Conservation bookkeeping: context bits handed to antigens, and samples
-    # held by DCs at the moment they migrated or were flushed.
-    contexts_delivered: int = 0
-    samples_retired: int = 0
-    threshold_words: bytearray = field(default_factory=bytearray)
-    #: The run's trace, or None for an untraced run; set once, at ``init_world``.
-    trace: TraceLog | None = None
+    __slots__ = ("tick", "pending", "dcs", "antigens_in_flight", "results", "rng", "next_dc_id",
+                 "contexts_delivered", "samples_retired", "threshold_words", "trace")
 
 
 class RunReport(NamedTuple):
@@ -227,17 +212,17 @@ def init_world(
     for start in range(0, n, _DRAW_CHUNK):
         size = 8 * min(_DRAW_CHUNK, n - start)
         words[8 * start : 8 * start + size] = rng.getrandbits(8 * size).to_bytes(size, "little")
-    return World(
-        tick=0,
-        pending=deque(sorted(records, key=attrgetter("antigen_id"))),
-        dcs=[None] * n,
-        antigens_in_flight={},
-        results=[],
-        rng=rng,
-        next_dc_id=n,
-        threshold_words=words,
-        trace=trace,
-    )
+    world = World()
+    world.tick = world.contexts_delivered = world.samples_retired = 0
+    world.pending = deque(sorted(records, key=attrgetter("antigen_id")))
+    world.dcs = [None] * n
+    world.antigens_in_flight = {}
+    world.results = []
+    world.rng = rng
+    world.next_dc_id = n
+    world.threshold_words = words
+    world.trace = trace
+    return world
 
 
 def dc_at(world: World, config: SimConfig, position: int) -> DCAgent:

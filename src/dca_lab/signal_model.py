@@ -14,10 +14,9 @@ straight-line reference implementation used in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .schema import Field, InvalidConfigError, check, rows
+from .schema import Config, Field, InvalidConfigError
 
 #: Input signals live on [0, SIGNAL_SCALE]. The scale is arbitrary; it only
 #: gives migration thresholds an intuitive magnitude.
@@ -37,11 +36,7 @@ class CumulativeSignals(NamedTuple):
     cum_mat: float = 0.0
 
 
-_SOURCES = {"row": Field(int, length=...)}
-
-
-@dataclass(frozen=True)
-class SignalMapping:
+class SignalMapping(Config):
     """Which attribute indices feed each input signal.
 
     With ``safe_is_complement`` (the default) the safe signal is
@@ -49,13 +44,12 @@ class SignalMapping:
     normality while high values suppress the safe signal.
     """
 
-    pamp_sources: tuple[int, ...] = field(metadata=_SOURCES)
-    danger_sources: tuple[int, ...] = field(metadata=_SOURCES)
-    safe_sources: tuple[int, ...] = field(metadata=_SOURCES)
-    safe_is_complement: bool = field(default=True, metadata={"row": Field(bool)})
+    pamp_sources = Field(int, length=...)
+    danger_sources = Field(int, length=...)
+    safe_sources = Field(int, length=...)
+    safe_is_complement = Field(bool, default=True)
 
-    def __post_init__(self):
-        check(self)
+    def rules(self):
         for name in ("pamp_sources", "danger_sources", "safe_sources"):
             sources = getattr(self, name)
             if not sources:
@@ -64,24 +58,19 @@ class SignalMapping:
                 raise InvalidConfigError(f"{name} contains negative index {min(sources)}")
 
 
-_WEIGHTS = {"row": Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)}
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(Config):
     """Per-signal weights onto (csm, semi, mat).
 
     The csm column (first entry of every row) must be nonnegative so that
     cumulative csm never decreases and migration stays reachable.
     """
 
-    pamp: tuple[float, float, float] = field(metadata=_WEIGHTS)
-    danger: tuple[float, float, float] = field(metadata=_WEIGHTS)
-    safe: tuple[float, float, float] = field(metadata=_WEIGHTS)
+    pamp = Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)
+    danger = Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)
+    safe = Field(float, -MAX_WEIGHT, MAX_WEIGHT, length=3)
 
-    def __post_init__(self):
-        check(self)
-        for name in rows(self):
+    def rules(self):
+        for name in self.ROWS:
             csm = getattr(self, name)[0]
             if csm < 0.0:
                 raise InvalidConfigError(f"{name}[0], the csm weight, must be nonnegative, got {csm}")

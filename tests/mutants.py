@@ -1,10 +1,10 @@
-"""Mutation gate: each of the 71 listed mutants of the package must make its named tests fail.
+"""Mutation gate: each of the 74 listed mutants of the package must make its named tests fail.
 
 Run from anywhere, with pytest and hypothesis installed:
 
     python tests/mutants.py
 
-All 71 take about 200 s on a 2-vCPU VM (Python 3.11).
+All 74 take about 225 s on a 2-vCPU VM (Python 3.11).
 
 Each entry in ``MUTANTS`` is (file under ``src/dca_lab``, exact snippet,
 replacement, test ids). The script copies ``src/`` to a temporary
@@ -63,12 +63,13 @@ MUTANTS = [
            ("tests/test_signal_model.py::TestWeightMatrix::test_negative_csm_column_rejected",)),
     Mutant("signal_model.py", "            if min(sources) < 0:\n", "            if False:\n",
            ("tests/test_signal_model.py::TestDeriveInputSignals::test_negative_index_rejected",)),
-    Mutant("cli.py", "    if issubclass(f.kind, Enum) and value in [m.value for m in f.kind]:\n", "    if False:\n",
-           ("tests/test_cli.py::TestConfigCodec::test_round_trip_defaults",)),
+    # A string row takes any string: "skip" runs as a policy.
+    Mutant("schema.py", " or f.choices and value not in f.choices", "",
+           ("tests/test_data_ingest.py::TestLoadDataset::test_policy_that_is_not_the_enum_rejected[skip]",)),
     Mutant("cli.py", "raise InvalidConfigError(prefix + str(exc)) from None", "raise",
            ("tests/test_schema.py::test_python_and_json_reject_with_one_message",)),
-    # Any JSON object is read as a component: {"seed": {}} crashes with TypeError.
-    Mutant("cli.py", "    if dataclasses.is_dataclass(f.kind) and isinstance(value, dict):\n", "    if isinstance(value, dict):\n",
+    # Any JSON object is read as a component: {"seed": {}} crashes with AttributeError.
+    Mutant("cli.py", "        elif issubclass(f.kind, Config) and isinstance(data[name], dict):\n", "        elif isinstance(data[name], dict):\n",
            ("tests/test_cli.py::TestRejectedInputs::test_config_value_rejected_with_exit_4[object_seed]",)),
     Mutant("agents.py", "        bits = size.bit_length()\n", "        bits = (size - 1).bit_length()\n",
            ("tests/test_agents.py::TestSampleDcs::test_single_pick_matches_randrange",)),
@@ -202,7 +203,7 @@ MUTANTS = [
            ("tests/test_engine.py::TestLazyPopulation::test_when_the_dcs_are_made_changes_no_output",)),
     # Config bounds at their edge: one histogram bin, the smallest positive
     # threshold and a normalization span of exactly 1 are each valid.
-    Mutant("engine.py", 'Field(int, 1, MAX_SIZE, note="equal-width', 'Field(int, 2, MAX_SIZE, note="equal-width',
+    Mutant("engine.py", 'Field(int, 1, MAX_SIZE, default=10, note="equal-width', 'Field(int, 2, MAX_SIZE, default=10, note="equal-width',
            ("tests/test_engine.py::TestSimConfig::test_one_histogram_bin_runs",)),
     Mutant("engine.py", "Field(float, math.ulp(0.0), sys.float_info.max", "Field(float, math.ulp(1.0), sys.float_info.max",
            ("tests/test_engine.py::TestSimConfig::test_smallest_positive_threshold_is_accepted",)),
@@ -244,6 +245,16 @@ MUTANTS = [
     # Records that run rejects end the CLI in a traceback.
     Mutant("cli.py", '    except DatasetError as exc:\n        print(f"dca-lab: dataset fault in {data_path}: {exc}", file=sys.stderr)\n        return EXIT_DATA\n', "",
            ("tests/test_cli.py::TestExitCodes::test_records_run_rejects_exit_3_with_one_line[repeated_id]",)),
+    # The config base: a replaced config skips the check, a field can be assigned, and a
+    # field given both by position and by name takes the name's value.
+    Mutant("schema.py", "return type(self)(**{**vars(self), **changes})",
+           "new = object.__new__(type(self)); vars(new).update(vars(self), **changes); return new",
+           ("tests/test_schema.py::test_python_built_component_is_checked_against_its_rows[replaced_seed]",)),
+    Mutant("schema.py", 'raise AttributeError(f"cannot assign to field {name!r}: a config is immutable")',
+           "object.__setattr__(self, name, value)",
+           ("tests/test_schema.py::test_a_config_is_immutable[SimConfig]",)),
+    Mutant("schema.py", "            if name in values:\n", "            if False:\n",
+           ("tests/test_schema.py::test_arguments_bind_as_a_dataclass_binds_them[repeated]",)),
 ]
 
 

@@ -157,9 +157,9 @@ class TestLoadDataset:
         # ids stay contiguous after the skip
         assert [r.antigen_id for r in records] == [0, 1]
 
-    @pytest.mark.parametrize("policy", ["skip_record", "impute_median", None])
+    @pytest.mark.parametrize("policy", ["skip", "IMPUTE_MEDIAN", None])
     def test_policy_that_is_not_the_enum_rejected(self, policy):
-        # A plain string once fell through to imputation, skipping no row.
+        # A string other than the two policies once fell through to imputation, skipping no row.
         with pytest.raises(InvalidConfigError, match="missing_value_policy must be one of"):
             AttributePolicy(missing_value_policy=policy)
 
@@ -210,7 +210,7 @@ class TestLoadDataset:
             load_dataset(_stream("1,11,1,1,1,1,1,1,1,1,2"))
         # Blank lines, \r\n line ends and a row with a '?' all count as lines before the bad row.
         payload = b"\r\n1,1,1,1,1,1,1,1,1,1,2\r\n\n2,?,1,1,1,1,1,1,1,1,2\r\n\r\n3,1,1,11,1,1,1,1,1,1,4\r\n"
-        for rule in MissingValuePolicy:
+        for rule in (MissingValuePolicy.SKIP_RECORD, MissingValuePolicy.IMPUTE_MEDIAN):
             with pytest.raises(DatasetError, match=r"^line 6: value 11 outside declared bounds \[1.0, 10.0\]$"):
                 load_dataset(io.BytesIO(payload), AttributePolicy(rule))
 
@@ -350,7 +350,7 @@ def _reference_load(text, policy):
         except DatasetError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from exc
         parsed.append((lineno, sample_id, attributes, class_code))
-    if policy.missing_value_policy is MissingValuePolicy.SKIP_RECORD:
+    if policy.missing_value_policy == MissingValuePolicy.SKIP_RECORD:
         kept = [row for row in parsed if None not in row[2]]
     else:
         medians = []

@@ -6,7 +6,6 @@ import math
 import random
 import re
 import tracemalloc
-from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +21,6 @@ from dca_lab.engine import (
     InvalidConfigError,
     SimConfig,
     TraceLog,
-    World,
     dc_at,
     flush,
     init_world,
@@ -366,33 +364,22 @@ class TestInlineRules:
 
 
 def flush_world(sampled_lists, in_flight_ids, trace=None):
-    """A hand-built world at tick 5: one DC per sampled list, k=1 antigens in flight.
+    """A world from ``init_world`` with no records, set to tick 5: one DC per sampled list, k=1 antigens in flight.
 
     With a trace, every agent holds its id's text, as in a traced run.
     """
     def text(agent_id):
         return None if trace is None else str(agent_id)
 
-    dcs = []
+    world = init_world(SimConfig(population_size=len(sampled_lists), dcs_per_antigen=1), [], trace)
+    world.tick = 5
     for dc_id, sampled in enumerate(sampled_lists):
-        dc = DCAgent(dc_id=dc_id, migration_threshold=1000.0, id_text=text(dc_id))
+        dc = world.dcs[dc_id] = DCAgent(dc_id=dc_id, migration_threshold=1000.0, id_text=text(dc_id))
         dc.cum = CumulativeSignals(cum_csm=50.0, cum_semi=10.0, cum_mat=5.0)
         dc.sampled = list(sampled)
-        dcs.append(dc)
-    antigens = {
-        aid: AntigenAgent(true_label=Category.NORMAL, expected_contexts=1, id_text=text(aid))
-        for aid in in_flight_ids
-    }
-    return World(
-        tick=5,
-        pending=deque(),
-        dcs=dcs,
-        antigens_in_flight=antigens,
-        results=[],
-        rng=random.Random(0),
-        next_dc_id=len(dcs),
-        trace=trace,
-    )
+    for aid in in_flight_ids:
+        world.antigens_in_flight[aid] = AntigenAgent(true_label=Category.NORMAL, expected_contexts=1, id_text=text(aid))
+    return world
 
 
 class TestFlush:
@@ -408,16 +395,10 @@ class TestFlush:
         assert not world.antigens_in_flight
 
     def test_empty_sampled_discarded_silently(self):
-        world = World(
-            tick=0,
-            pending=deque(),
-            dcs=[DCAgent(dc_id=0, migration_threshold=10.0)],
-            antigens_in_flight={},
-            results=[],
-            rng=random.Random(0),
-            next_dc_id=1,
-        )
-        flush(world, SimConfig(population_size=1, dcs_per_antigen=1))
+        config = SimConfig(population_size=1, dcs_per_antigen=1)
+        world = init_world(config, [])
+        world.dcs[0] = DCAgent(dc_id=0, migration_threshold=10.0)
+        flush(world, config)
         assert world.dcs == []
         assert world.contexts_delivered == 0
 

@@ -25,7 +25,6 @@ checks one run against what its regime forces.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -145,7 +144,7 @@ def test_sample_ids_leave_every_file_byte_identical(work, case, data):
 def test_power_of_two_scaling_leaves_results_and_histogram_byte_identical(work, case, sizes, threshold_range, e):
     picks, seed = case
     rows = wbc_rows(work, picks)
-    weights = dataclasses.asdict(DEFAULT_WEIGHT_MATRIX)
+    weights = vars(DEFAULT_WEIGHT_MATRIX)
     scaled = {
         **sizes,
         "threshold_range": [math.ldexp(t, e) for t in threshold_range],

@@ -1,6 +1,5 @@
 """One check per config value: the schema rows decide, however a value arrives."""
 
-import dataclasses
 import json
 import math
 
@@ -9,8 +8,8 @@ import pytest
 from dca_lab.cli import EXIT_OK, config_from_dict, config_to_dict, main
 from dca_lab.data_ingest import AttributePolicy, MissingValuePolicy
 from dca_lab.engine import InvalidConfigError, SimConfig
-from dca_lab.schema import Field, check, rows
-from dca_lab.signal_model import SignalMapping, WeightMatrix
+from dca_lab.schema import Config
+from dca_lab.signal_model import DEFAULT_WEIGHT_MATRIX, SignalMapping, WeightMatrix
 
 WEIGHTS = {"danger": (1, 0, 1), "safe": (2, 3, -3)}
 
@@ -40,6 +39,11 @@ WEIGHTS = {"danger": (1, 0, 1), "safe": (2, 3, -3)}
         # Once a bare TypeError from tuple().
         pytest.param(lambda: SignalMapping(5, (0,), (0,)),
                      "pamp_sources must be an array of values, each an integer, got 5", id="int_sources"),
+        # A replaced config is built afresh, so its values are checked as a new one's are.
+        pytest.param(lambda: SimConfig().replace(seed=-1), "seed must be in [0, 18446744073709551615], got -1",
+                     id="replaced_seed"),
+        pytest.param(lambda: SimConfig().replace(population_size=5), "dcs_per_antigen must be in [1, population_size=5]",
+                     id="replaced_population_breaks_a_rule"),
     ],
 )
 def test_python_built_component_is_checked_against_its_rows(build, fragment):
@@ -48,34 +52,56 @@ def test_python_built_component_is_checked_against_its_rows(build, fragment):
     assert str(excinfo.value).startswith(fragment)
 
 
-def test_a_field_without_a_row_fails_loudly():
-    """A field declared without its row is a fault of the class, not a value left unchecked."""
-
-    @dataclasses.dataclass(frozen=True)
-    class HalfDeclared:
-        checked: int = dataclasses.field(default=1, metadata={"row": Field(int, 0, 9)})
-        unchecked: int = 2
-
-        def __post_init__(self):
-            check(self)
-
-    with pytest.raises(TypeError, match=r"^HalfDeclared\.unchecked has no schema row$"):
-        HalfDeclared()
-    with pytest.raises(TypeError, match="HalfDeclared.unchecked"):
-        rows(HalfDeclared)
-
-
 def test_every_field_is_written_and_noted(tmp_path):
     """The JSON document, each component's object and gen-config's notes have one key per field, in order."""
     config, document = SimConfig(), config_to_dict(SimConfig())
-    names = [d.name for d in dataclasses.fields(SimConfig)]
+    names = list(SimConfig.ROWS)
     assert list(document) == names
-    components = [name for name in names if dataclasses.is_dataclass(getattr(config, name))]
+    components = [name for name in names if isinstance(getattr(config, name), Config)]
     assert len(components) == 3
     for name in components:
-        assert list(document[name]) == [d.name for d in dataclasses.fields(getattr(config, name))]
+        assert list(document[name]) == list(getattr(config, name).ROWS)
     assert main(["gen-config", "--out", str(tmp_path / "config.json")]) == EXIT_OK
     assert list(json.loads((tmp_path / "config.json").read_text())["_notes"]) == names
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        pytest.param(lambda: SimConfig(sed=1), "SimConfig() got an unexpected keyword argument 'sed'", id="unknown"),
+        pytest.param(lambda: AttributePolicy("impute_median", missing_value_policy="skip_record"),
+                     "AttributePolicy() got multiple values for argument 'missing_value_policy'", id="repeated"),
+        pytest.param(lambda: SignalMapping((0,), (0,)), "SignalMapping() missing required argument 'safe_sources'",
+                     id="missing"),
+        pytest.param(lambda: AttributePolicy("skip_record", 1.0, 10.0, 0),
+                     "AttributePolicy() takes 3 positional arguments but 4 were given", id="too_many_positional"),
+    ],
+)
+def test_arguments_bind_as_a_dataclass_binds_them(build, message):
+    with pytest.raises(TypeError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("config", [SimConfig(), DEFAULT_WEIGHT_MATRIX, SignalMapping((0,), (1,), (2,)), AttributePolicy()],
+                         ids=lambda c: type(c).__name__)
+def test_a_config_is_immutable(config):
+    name = next(iter(config.ROWS))
+    value = getattr(config, name)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(config, name, value)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(config, name)
+    assert getattr(config, name) is value
+
+
+def test_a_config_equals_a_config_of_its_class_with_its_values():
+    mapping = SignalMapping((0,), (1,), (2,))
+    assert mapping == SignalMapping([0], [1], [2], safe_is_complement=True)
+    assert mapping != SignalMapping((0,), (1,), (2,), safe_is_complement=False)
+    assert mapping != ((0,), (1,), (2,), True)
+    assert mapping.replace() == mapping and mapping.replace() is not mapping
+    assert repr(AttributePolicy()) == "AttributePolicy(missing_value_policy='skip_record', lo=1.0, hi=10.0)"
 
 
 def test_long_values_are_echoed_short():
@@ -92,12 +118,12 @@ def test_values_are_stored_converted_after_the_check():
     assert config.threshold_range == (100.0, 300.0) and type(config.threshold_range[0]) is float
     assert type(config.anomalous_threshold) is float
     assert config.signal_mapping.pamp_sources == (0,)
-    assert dataclasses.replace(config, seed=5).threshold_range == (100.0, 300.0)
+    assert config.replace(seed=5).threshold_range == (100.0, 300.0)
 
 
-#: Values of the wrong kind for a row of each kind; enum strings stay strings in JSON.
+#: Values of the wrong kind for a row of each kind; the one string row takes only its choices.
 WRONG_KIND = {int: [1.5, True, "1", None], float: [True, "0.5", None], bool: [1, "true", None],
-              MissingValuePolicy: ["skip", None, 0]}
+              str: ["skip", MissingValuePolicy.IMPUTE_MEDIAN.upper(), None, 0]}
 
 
 def _past(value, f, side):
@@ -125,11 +151,11 @@ def _bad_values(f, valid):
 def _leaf_cases():
     """(component row or None, field name, bad value) for every leaf row of the schema."""
     document = config_to_dict(SimConfig())
-    for row, f in rows(SimConfig).items():
-        if not dataclasses.is_dataclass(f.kind):
+    for row, f in SimConfig.ROWS.items():
+        if not issubclass(f.kind, Config):
             cases = [(None, row, f, document[row])]
         else:
-            cases = [(row, name, leaf, document[row][name]) for name, leaf in rows(f.kind).items()]
+            cases = [(row, name, leaf, document[row][name]) for name, leaf in f.kind.ROWS.items()]
         for component, name, leaf, valid in cases:
             path = name if component is None else f"{component}.{name}"
             for i, bad in enumerate(_bad_values(leaf, valid)):
@@ -145,8 +171,7 @@ def test_python_and_json_reject_with_one_message(component, name, bad):
         document[name] = bad
     else:
         default = getattr(SimConfig(), component)
-        kwargs = {n: getattr(default, n) for n in rows(default)}
-        build, prefix = (lambda: type(default)(**dict(kwargs, **{name: bad}))), f"{component}."
+        build, prefix = (lambda: type(default)(**dict(vars(default), **{name: bad}))), f"{component}."
         document[component][name] = bad
     with pytest.raises(InvalidConfigError) as python_error:
         build()
